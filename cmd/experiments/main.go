@@ -25,19 +25,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		out     = fs.String("out", "", "write the markdown report to this file (default stdout)")
-		csvDir  = fs.String("csv", "", "also write per-figure CSVs into this directory")
-		quiet   = fs.Bool("q", false, "suppress progress lines")
-		nreq    = fs.Int("requests", 6, "requests per function in the emulation study (fig 4.20)")
-		skipEmu = fs.Bool("skip-emulation", false, "skip fig 4.20 (the slowest study)")
-		chaos   = fs.Bool("chaos", false, "also run the fault-injection/recovery table")
-		loadFl  = fs.Bool("load", false, "also run the open-loop load study (throughput curve + keep-alive table)")
-		scenFl  = fs.Bool("scenarios", false, "also run the chaos-scenario SLO matrix (scenario x arch)")
-		clustFl = fs.Bool("cluster", false, "also run the multi-machine cluster fabric table (topology x arch)")
-		scaleFl = fs.Bool("autoscale", false, "also run the cluster-autoscaling policy x RPS matrix")
+		out      = fs.String("out", "", "write the markdown report to this file (default stdout)")
+		csvDir   = fs.String("csv", "", "also write per-figure CSVs into this directory")
+		quiet    = fs.Bool("q", false, "suppress progress lines")
+		nreq     = fs.Int("requests", 6, "requests per function in the emulation study (fig 4.20)")
+		skipEmu  = fs.Bool("skip-emulation", false, "skip fig 4.20 (the slowest study)")
+		chaos    = fs.Bool("chaos", false, "also run the fault-injection/recovery table")
+		loadFl   = fs.Bool("load", false, "also run the open-loop load study (throughput curve + keep-alive table)")
+		scenFl   = fs.Bool("scenarios", false, "also run the chaos-scenario SLO matrix (scenario x arch)")
+		clustFl  = fs.Bool("cluster", false, "also run the multi-machine cluster fabric table (topology x arch)")
+		scaleFl  = fs.Bool("autoscale", false, "also run the cluster-autoscaling policy x RPS matrix")
 		sampleFl = fs.Bool("sampling", false, "also run the sampled-vs-full CPI error table (SMARTS-style sampled simulation)")
-		seed    = fs.Uint64("seed", 1, "fault-injection / load-arrival seed for -chaos, -load, -scenarios, -cluster and -autoscale")
-		jobs    = fs.Int("j", sweep.DefaultJobs(),
+		seed     = fs.Uint64("seed", 1, "fault-injection / load-arrival seed for -chaos, -load, -scenarios, -cluster and -autoscale")
+		jobs     = fs.Int("j", sweep.DefaultJobs(),
 			"sweep worker count, >= 1 (results are identical for every value; default GOMAXPROCS)")
 		noMemo = fs.Bool("no-memo", false,
 			"disable boot-checkpoint memoization (every run simulates its own setup; results are identical)")

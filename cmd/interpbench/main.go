@@ -79,12 +79,12 @@ type row struct {
 }
 
 type report struct {
-	Date           string  `json:"date"`
-	HostCPUs       int     `json:"host_cpus"`
-	GoMaxProcs     int     `json:"gomaxprocs"`
-	Workloads      int     `json:"workloads"`
-	SetupSpeedup   float64 `json:"geomean_speedup_setup"`
-	RecordSpeedup  float64 `json:"geomean_speedup_record"`
+	Date          string  `json:"date"`
+	HostCPUs      int     `json:"host_cpus"`
+	GoMaxProcs    int     `json:"gomaxprocs"`
+	Workloads     int     `json:"workloads"`
+	SetupSpeedup  float64 `json:"geomean_speedup_setup"`
+	RecordSpeedup float64 `json:"geomean_speedup_record"`
 	// Geomean speedups divided by the PR 5 snapshot of the same metric:
 	// the further gain contributed by superblock chaining + uop dispatch,
 	// normalized against the unchanged single-step reference so host

@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		arrival  = fs.String("arrival", "poisson", "load: arrival process, poisson or bursty")
 		burst    = fs.Int("burst", 0, "load: bursty batch size (0 = default)")
 		maxInst  = fs.Int("instances", 0, "load: instance pool cap (0 = default)")
-		sample = fs.String("sample", "", "SMARTS-style sampled evaluation: \"default\", \"uU-wW-dD\" or \"U,W,D\" "+
+		sample   = fs.String("sample", "", "SMARTS-style sampled evaluation: \"default\", \"uU-wW-dD\" or \"U,W,D\" "+
 			"(units: retired records; see docs/perf.md)")
 		traceOut = fs.String("trace", "", "write a Chrome trace_event JSON (Perfetto-loadable) to this file")
 		profile  = fs.Bool("profile", false, "print the sampled guest hot-function profile")

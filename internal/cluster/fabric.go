@@ -81,7 +81,7 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() interface{} {
 	old := *h
@@ -143,12 +143,12 @@ type linkState struct {
 // virtual clock. All methods are single-goroutine; determinism comes
 // from the (time, sequence)-ordered event queue and per-link FIFO state.
 type Fabric struct {
-	cfg      Config
-	top      Topology
-	quantum  uint64
-	nodes    []*node
-	frontend int
-	links    map[linkKey]*linkState
+	cfg       Config
+	top       Topology
+	quantum   uint64
+	nodes     []*node
+	frontend  int
+	links     map[linkKey]*linkState
 	overrides map[linkKey]Link
 
 	events eventHeap

@@ -1,0 +1,78 @@
+package cluster
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"svbench/internal/ir"
+	"svbench/internal/isa"
+	"svbench/internal/vswarm"
+)
+
+// raceDetector is set in race builds (race_test.go).
+var raceDetector bool
+
+// runRecovered runs cfg, turning a panic into an error so a regression
+// fails the test instead of killing the test binary.
+func runRecovered(cfg Config) (rep *Report, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return Run(cfg)
+}
+
+// TestGuestMemoryFaultEndsRun: a function whose handler loads one byte
+// past guest memory ends the fabric run with an error that wraps
+// *isa.MemFault and names the faulting service.
+func TestGuestMemoryFaultEndsRun(t *testing.T) {
+	top := miniTopology()
+	top.Services[1].Fn = func([]ChanPair) *ir.Module {
+		m := ir.NewModule("faulter")
+		b := ir.NewFunc(vswarm.Handler, 3)
+		b.Ret(b.Load(b.Const(32<<20), 0, 1))
+		m.AddFunc(b.Build())
+		return m
+	}
+	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+		cfg := testConfig(top, 2)
+		cfg.Arch = arch
+		_, err := runRecovered(cfg)
+		var f *isa.MemFault
+		if !errors.As(err, &f) {
+			t.Fatalf("%s: error %v does not wrap *isa.MemFault", arch, err)
+		}
+		if !strings.HasPrefix(err.Error(), "cluster: fib: ") || f.Addr != 32<<20 {
+			t.Fatalf("%s: error %q", arch, err)
+		}
+	}
+}
+
+// TestHotelReservationFaultIsError is the regression test at the point
+// that used to crash: hotel-reservation on cisc64 at 200 requests and
+// 2000 rps loads one byte past guest memory for about half of all
+// seeds. Each run must return a report or an error wrapping
+// *isa.MemFault, never panic. Seed 1 completes and seed 2 faults. A run
+// takes about 10 s, and over 4 minutes under the race detector, so short
+// mode and race builds leave it to TestGuestMemoryFaultEndsRun.
+func TestHotelReservationFaultIsError(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("about 10 s per seed, over 4 minutes under the race detector")
+	}
+	for _, seed := range []uint64{1, 2} {
+		cfg := testConfig(HotelReservation(), 200)
+		cfg.Arch = isa.CISC64
+		cfg.Seed = seed
+		rep, err := runRecovered(cfg)
+		var f *isa.MemFault
+		switch {
+		case err == nil && rep == nil:
+			t.Fatalf("seed %d: no report and no error", seed)
+		case err != nil && !errors.As(err, &f):
+			t.Fatalf("seed %d: error %v does not wrap *isa.MemFault", seed, err)
+		}
+	}
+}

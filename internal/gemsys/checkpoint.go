@@ -6,7 +6,9 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"sync/atomic"
 
+	"svbench/internal/isa"
 	"svbench/internal/kernel"
 )
 
@@ -25,7 +27,11 @@ type ProcSnap struct {
 // microarchitectural state (caches, predictors) exactly as gem5 does when
 // switching from the boot CPU to the detailed CPU.
 type Checkpoint struct {
-	Arch      string
+	Arch string
+	// MemData is the guest memory image. It is immutable once taken:
+	// machines that restored the checkpoint remember it by id and later
+	// copy back only the pages they wrote since, so an image edited in
+	// place would not be restored faithfully.
 	MemData   []byte
 	Procs     []ProcSnap
 	Chans     []kernel.ChanSnap
@@ -40,7 +46,20 @@ type Checkpoint struct {
 	// (checkpoint memoization) reports the same Response bytes as one
 	// that executed it.
 	Console []byte
+
+	// id names MemData's image to the machines whose memory equals it
+	// (0: no name, as for a literal Checkpoint). nonZero holds one mark
+	// per isa.PageSize page of MemData, non-zero where the page may hold
+	// a non-zero byte; nil means unknown. Neither is serialized:
+	// ReadCheckpoint issues a fresh id and leaves nonZero unknown.
+	id      uint64
+	nonZero []byte
 }
+
+// imageIDs issues Checkpoint ids. A process-wide counter rather than a
+// pointer, so a machine can name the image it last equalled without
+// keeping the checkpoint alive or reachable.
+var imageIDs atomic.Uint64
 
 // Clone returns a deep copy sharing no mutable state with the receiver:
 // mutating a machine restored from the clone (or the clone itself) can
@@ -57,6 +76,8 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 		Cur:       append([]int(nil), ck.Cur...),
 		NextRgn:   ck.NextRgn,
 		Console:   append([]byte(nil), ck.Console...),
+		id:        ck.id,
+		nonZero:   append([]byte(nil), ck.nonZero...),
 	}
 	cp.Procs = make([]ProcSnap, len(ck.Procs))
 	for i, ps := range ck.Procs {
@@ -76,7 +97,8 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 }
 
 // TakeCheckpoint captures the machine state and clears the pending
-// checkpoint request so execution can continue.
+// checkpoint request so execution can continue. The new checkpoint
+// becomes the machine's memory baseline, as after a Restore of it.
 func (m *Machine) TakeCheckpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Arch:      string(m.Cfg.Arch),
@@ -85,6 +107,15 @@ func (m *Machine) TakeCheckpoint() *Checkpoint {
 		VirtInstr: m.virtInstr,
 		NextRgn:   m.nextRegion,
 		Console:   append([]byte(nil), m.K.Console.Bytes()...),
+		id:        imageIDs.Add(1),
+	}
+	// A page is zero unless the baseline may hold it non-zero or it was
+	// written since.
+	if m.memNonZero != nil {
+		ck.nonZero = make([]byte, len(m.Mem.Dirty))
+		for pg, d := range m.Mem.Dirty {
+			ck.nonZero[pg] = d | m.memNonZero[pg]
+		}
 	}
 	ck.Seq, ck.SlabCur = m.K.SnapState()
 	for _, p := range m.K.Procs {
@@ -106,8 +137,97 @@ func (m *Machine) TakeCheckpoint() *Checkpoint {
 		}
 		ck.RunQ = append(ck.RunQ, q)
 	}
+	m.adoptImage(ck)
 	m.ckptReq = false
 	return ck
+}
+
+// adoptImage records that guest memory now equals ck.MemData: ck becomes
+// the baseline and every page is clean.
+func (m *Machine) adoptImage(ck *Checkpoint) {
+	m.memImage = ck.id
+	if ck.nonZero == nil {
+		m.memNonZero = nil
+	} else {
+		m.memNonZero = append(m.memNonZero[:0], ck.nonZero...)
+	}
+	m.Mem.ClearDirty()
+}
+
+// copyImage makes guest memory equal ck.MemData, copying only the pages
+// that can differ:
+//   - the pages written since the baseline, when the baseline is ck;
+//   - those plus every page the baseline or ck may hold non-zero, when
+//     both non-zero sets are known (a fresh machine's baseline is
+//     all-zero memory, whose set is empty);
+//   - every page otherwise.
+func (m *Machine) copyImage(ck *Checkpoint) {
+	same := ck.id != 0 && ck.id == m.memImage
+	if !same && (m.memNonZero == nil || ck.nonZero == nil) {
+		copy(m.Mem.Data, ck.MemData)
+		return
+	}
+	for pg, d := range m.Mem.Dirty {
+		if !same {
+			d |= m.memNonZero[pg] | ck.nonZero[pg]
+		}
+		if d != 0 {
+			lo := pg << isa.PageShift
+			hi := min(lo+isa.PageSize, len(m.Mem.Data))
+			copy(m.Mem.Data[lo:hi], ck.MemData[lo:hi])
+		}
+	}
+}
+
+// checkRestorable reports why ck cannot be restored onto m. It checks
+// everything Restore indexes or looks up, so Restore can fail before it
+// changes any state. On success it returns the machine's processes by ID.
+func (m *Machine) checkRestorable(ck *Checkpoint) (map[int]*kernel.Process, error) {
+	if ck.Arch != string(m.Cfg.Arch) {
+		return nil, fmt.Errorf("gemsys: checkpoint arch %q does not match machine %q", ck.Arch, m.Cfg.Arch)
+	}
+	if len(ck.MemData) != len(m.Mem.Data) {
+		return nil, fmt.Errorf("gemsys: checkpoint memory size mismatch")
+	}
+	if len(ck.Procs) != len(m.K.Procs) {
+		return nil, fmt.Errorf("gemsys: checkpoint has %d processes, machine has %d", len(ck.Procs), len(m.K.Procs))
+	}
+	byID := make(map[int]*kernel.Process, len(m.K.Procs))
+	for _, p := range m.K.Procs {
+		byID[p.ID] = p
+	}
+	seen := make(map[int]bool, len(ck.Procs))
+	for _, ps := range ck.Procs {
+		p := byID[ps.ID]
+		if p == nil {
+			return nil, fmt.Errorf("gemsys: checkpoint references unknown process %d", ps.ID)
+		}
+		if seen[ps.ID] {
+			return nil, fmt.Errorf("gemsys: checkpoint lists process %d twice", ps.ID)
+		}
+		seen[ps.ID] = true
+		if want := len(p.Core.Snapshot()); len(ps.CoreState) != want {
+			return nil, fmt.Errorf("gemsys: checkpoint process %d has %d core-state words, want %d", ps.ID, len(ps.CoreState), want)
+		}
+	}
+	if err := m.K.CheckChannels(ck.Chans, byID); err != nil {
+		return nil, fmt.Errorf("gemsys: checkpoint: %w", err)
+	}
+	if len(ck.Cur) != m.Cfg.Cores || len(ck.RunQ) != m.Cfg.Cores {
+		return nil, fmt.Errorf("gemsys: checkpoint has %d current and %d run-queue entries, machine has %d cores",
+			len(ck.Cur), len(ck.RunQ), m.Cfg.Cores)
+	}
+	for ci, id := range ck.Cur {
+		if id != -1 && byID[id] == nil {
+			return nil, fmt.Errorf("gemsys: checkpoint core %d runs unknown process %d", ci, id)
+		}
+		for _, id := range ck.RunQ[ci] {
+			if byID[id] == nil {
+				return nil, fmt.Errorf("gemsys: checkpoint core %d queues unknown process %d", ci, id)
+			}
+		}
+	}
+	return byID, nil
 }
 
 // Restore reinstates a checkpoint on the same machine — or on any machine
@@ -117,27 +237,19 @@ func (m *Machine) TakeCheckpoint() *Checkpoint {
 // predictors are flushed, trace queues cleared, and the IPC coupler
 // reset. Restore copies out of ck and never retains references into it,
 // so a shared (cached) checkpoint stays untouched by the restored
-// machine's subsequent execution.
+// machine's subsequent execution. Guest memory is brought to ck's image
+// by copying only the pages that can differ (see copyImage), and ck
+// becomes the machine's memory baseline. A malformed checkpoint returns
+// an error and leaves the machine untouched.
 func (m *Machine) Restore(ck *Checkpoint) error {
-	if ck.Arch != string(m.Cfg.Arch) {
-		return fmt.Errorf("gemsys: checkpoint arch %q does not match machine %q", ck.Arch, m.Cfg.Arch)
+	byID, err := m.checkRestorable(ck)
+	if err != nil {
+		return err
 	}
-	if len(ck.MemData) != len(m.Mem.Data) {
-		return fmt.Errorf("gemsys: checkpoint memory size mismatch")
-	}
-	if len(ck.Procs) != len(m.K.Procs) {
-		return fmt.Errorf("gemsys: checkpoint has %d processes, machine has %d", len(ck.Procs), len(m.K.Procs))
-	}
-	copy(m.Mem.Data, ck.MemData)
-	byID := map[int]*kernel.Process{}
-	for _, p := range m.K.Procs {
-		byID[p.ID] = p
-	}
+	m.copyImage(ck)
+	m.adoptImage(ck)
 	for _, ps := range ck.Procs {
-		p, ok := byID[ps.ID]
-		if !ok {
-			return fmt.Errorf("gemsys: checkpoint references unknown process %d", ps.ID)
-		}
+		p := byID[ps.ID]
 		p.State = ps.State
 		p.Brk = ps.Brk
 		p.WakeSeq = ps.WakeSeq
@@ -225,5 +337,6 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if err := gob.NewDecoder(zr).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("gemsys: corrupt checkpoint: %w", err)
 	}
+	ck.id = imageIDs.Add(1)
 	return &ck, nil
 }

@@ -59,8 +59,9 @@ func TestCloneIsolation(t *testing.T) {
 	cycles1 := dumps[0].Server().Cycles
 	// ... then poke the machine and the restored-from clone directly, the
 	// way an aliasing bug would leak.
-	for i := range mach.Mem.Data {
-		mach.Mem.Data[i] ^= 0xA5
+	guest := mach.Mem.Bytes(0, uint64(len(mach.Mem.Data)))
+	for i := range guest {
+		guest[i] ^= 0xA5
 	}
 	for _, p := range mach.K.Procs {
 		s := p.Core.Snapshot()

@@ -48,6 +48,15 @@ type Machine struct {
 	ckptReq     bool
 	hookProc    *kernel.Process
 
+	// The memory baseline: guest memory equalled the image of checkpoint
+	// id memImage (0: none) when its dirty marks were last cleared, and
+	// memNonZero marks the pages of that image that may be non-zero (nil:
+	// unknown). A fresh machine's baseline is all-zero memory: no id and
+	// no non-zero page. Restore uses the pair to copy only pages that can
+	// differ.
+	memImage   uint64
+	memNonZero []byte
+
 	// Functional-sprint state (see Machine.sprint). While sprinting,
 	// recording is off and there is no trace record to annotate, so the
 	// hook parks m5 markers in m5Pending and every stepping loop polls it
@@ -153,6 +162,7 @@ func New(cfg Config) (*Machine, error) {
 		sprintCnt:   make([]isa.ClassCounts, cfg.Cores),
 		nextRegion:  firstProc,
 	}
+	m.memNonZero = make([]byte, len(m.Mem.Dirty))
 	m.K = kernel.New(m.Mem, slabBase, slabSize)
 	m.K.Clock = func() uint64 { return m.virtInstr }
 	m.K.OnWake = func(p *kernel.Process) { m.rq[p.CoreID] = append(m.rq[p.CoreID], p) }
@@ -519,6 +529,28 @@ func (m *Machine) stepQuantumSlow(ci int) (bool, error) {
 	return ran, nil
 }
 
+// recoverMemFault, deferred by every run entry point, ends a run whose
+// guest code (or the kernel acting for it) accessed memory out of range:
+// it turns the *isa.MemFault panic into the run's error, naming the
+// process that was stepping. Any other panic is a simulator bug and
+// propagates. A faulted machine's execution state is undefined until
+// the next Restore.
+func (m *Machine) recoverMemFault(err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	f, ok := r.(*isa.MemFault)
+	if !ok {
+		panic(r)
+	}
+	name := "?"
+	if m.hookProc != nil {
+		name = m.hookProc.Name
+	}
+	*err = fmt.Errorf("gemsys: proc %s: guest memory fault: %w", name, f)
+}
+
 // pump advances functional execution one scheduling round.
 func (m *Machine) pump() (bool, error) {
 	any := false
@@ -540,7 +572,10 @@ func (m *Machine) pump() (bool, error) {
 
 // RunSetup executes functionally (the atomic-CPU setup mode) until an m5
 // checkpoint is requested, the machine halts, or budget instructions run.
-func (m *Machine) RunSetup(budget uint64) error {
+// Like every run entry point, it returns a guest memory fault as an error
+// wrapping *isa.MemFault.
+func (m *Machine) RunSetup(budget uint64) (err error) {
+	defer m.recoverMemFault(&err)
 	m.recording = false
 	start := m.virtInstr
 	for !m.halted && !m.ckptReq {
@@ -720,10 +755,11 @@ func (m *Machine) sprint(target uint64) (uint64, error) {
 // functional cycle per record. Dumps are extrapolated from the measured
 // windows (see sampler.dump). The zero SamplingConfig is bit-identical to
 // RunEval.
-func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) ([]stats.Dump, error) {
+func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Dump, err error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
+	defer m.recoverMemFault(&err)
 	m.recording = true
 	for _, o := range m.O3 {
 		o.ColdStart()
@@ -987,7 +1023,8 @@ func (m *Machine) Quiescent() bool {
 // RunFunctional, quiescence is success, not deadlock: a host-driven
 // machine (see kernel.Inject) hands control back exactly when it has
 // consumed all injected work and everyone is waiting for more.
-func (m *Machine) RunUntilIdle(budget uint64) error {
+func (m *Machine) RunUntilIdle(budget uint64) (err error) {
+	defer m.recoverMemFault(&err)
 	m.recording = false
 	start := m.virtInstr
 	for !m.halted {
@@ -1013,7 +1050,8 @@ func (m *Machine) RunUntilIdle(budget uint64) error {
 // machine after giving co-simulated machines a chance to catch up in
 // virtual time. RunQuantum and RunUntilIdle share the Quiescent
 // predicate, so the fabric can never misreport a parked machine.
-func (m *Machine) RunQuantum(quantum uint64) (bool, error) {
+func (m *Machine) RunQuantum(quantum uint64) (_ bool, err error) {
+	defer m.recoverMemFault(&err)
 	m.recording = false
 	start := m.virtInstr
 	for !m.halted {
@@ -1054,7 +1092,8 @@ func (m *Machine) KillProcess(name string) error {
 }
 
 // RunFunctional executes functionally until halt (QEMU mode).
-func (m *Machine) RunFunctional(budget uint64) error {
+func (m *Machine) RunFunctional(budget uint64) (err error) {
+	defer m.recoverMemFault(&err)
 	m.recording = false
 	start := m.virtInstr
 	for !m.halted {
@@ -1079,7 +1118,8 @@ func (m *Machine) RunFunctional(budget uint64) error {
 // interpreter-benchmark entry point (cmd/interpbench): it exercises
 // exactly the hot loop of setup mode (record=false) or of the functional
 // side of eval mode (record=true) without the replay machinery.
-func (m *Machine) MeasureFunctional(budget uint64, record bool) (uint64, error) {
+func (m *Machine) MeasureFunctional(budget uint64, record bool) (_ uint64, err error) {
+	defer m.recoverMemFault(&err)
 	m.recording = record
 	start := m.virtInstr
 	for !m.halted {
@@ -1113,7 +1153,8 @@ var ErrKVMUnstable = errors.New("gemsys: KVM core froze at the checkpoint magic 
 // returns ErrKVMUnstable and the machine must be rebuilt and re-run with
 // the atomic core (RunSetup) — the fallback the thesis's methodology
 // settled on.
-func (m *Machine) RunSetupKVM(kvm *cpu.KVM, budget uint64) error {
+func (m *Machine) RunSetupKVM(kvm *cpu.KVM, budget uint64) (err error) {
+	defer m.recoverMemFault(&err)
 	m.recording = false
 	start := m.virtInstr
 	for !m.halted && !m.ckptReq {

@@ -1,0 +1,44 @@
+package gemsys
+
+import (
+	"testing"
+
+	"svbench/internal/isa"
+)
+
+// BenchmarkRestore times Restore of a post-setup checkpoint of the fib
+// client/server pair. "recycled" restores a machine whose memory last
+// equalled the checkpoint and has run since, as a fleet re-acquires a
+// reclaimed instance; "fresh" restores into a newly booted machine, a
+// cold start's first restore.
+func BenchmarkRestore(b *testing.B) {
+	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+		m := bootClientServer(b, arch, 1000)
+		if err := m.RunSetup(50_000_000); err != nil {
+			b.Fatal(err)
+		}
+		ck := m.TakeCheckpoint()
+		b.Run(string(arch)+"/recycled", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := m.RunQuantum(20_000); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := m.Restore(ck); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(string(arch)+"/fresh", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f := bootClientServer(b, arch, 1000)
+				b.StartTimer()
+				if err := f.Restore(ck); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -122,8 +122,8 @@ type Result struct {
 	// server core's cold/warm windows when Spec.Sampling was enabled;
 	// nil for full-detail runs.
 	SampleCold, SampleWarm *stats.SampleMeta
-	SetupInsts uint64
-	Response   []byte
+	SetupInsts             uint64
+	Response               []byte
 	// FaultReport is the run's fault ledger; nil without a fault plan.
 	FaultReport *faults.Report
 

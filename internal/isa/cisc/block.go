@@ -182,8 +182,8 @@ type uop struct {
 // Direct-threaded handler indices. The space is dense and small so the
 // execution switch compiles to a jump table.
 const (
-	uNOP   uint8 = iota // nop, fence
-	uMOVI               // dst = aux (MOVri/MOVri32 folded)
+	uNOP  uint8 = iota // nop, fence
+	uMOVI              // dst = aux (MOVri/MOVri32 folded)
 	uMOVrr
 	uADDrr
 	uSUBrr
@@ -230,8 +230,8 @@ const (
 	uPUSH
 	uPOP
 	uLEA
-	uJMP   // pc = aux
-	uJE    // taken target in aux, fall-through in imm
+	uJMP // pc = aux
+	uJE  // taken target in aux, fall-through in imm
 	uJNE
 	uJL
 	uJLE
@@ -882,13 +882,13 @@ func (c *Core) stepBlockFastInner(b *block, max int) (int, bool, error) {
 		case uLDW:
 			r[u.dst] = isa.SignExtend(c.Mem.Load32(r[u.src]+u.aux), 4)
 		case uLDBU:
-			r[u.dst] = c.Mem.Load8(r[u.src]+u.aux)
+			r[u.dst] = c.Mem.Load8(r[u.src] + u.aux)
 		case uLDHU:
-			r[u.dst] = c.Mem.Load16(r[u.src]+u.aux)
+			r[u.dst] = c.Mem.Load16(r[u.src] + u.aux)
 		case uLDWU:
-			r[u.dst] = c.Mem.Load32(r[u.src]+u.aux)
+			r[u.dst] = c.Mem.Load32(r[u.src] + u.aux)
 		case uLDQ:
-			r[u.dst] = c.Mem.Load64(r[u.src]+u.aux)
+			r[u.dst] = c.Mem.Load64(r[u.src] + u.aux)
 		case uSTB:
 			c.Mem.Store8(r[u.dst]+u.aux, r[u.src])
 		case uSTH:

@@ -175,7 +175,7 @@ func TestStepNLockstepLoops(t *testing.T) {
 		prog := []Inst{
 			{Kind: KindMOVri32, Dst: R8, Imm: 6},
 			{Kind: KindMOVri32, Dst: R9, Imm: 5}, // outer:
-			{Kind: KindADD, Dst: R10, Src: R9},    // inner:
+			{Kind: KindADD, Dst: R10, Src: R9},   // inner:
 			{Kind: KindADDri32, Dst: R9, Imm: -1},
 			{Kind: KindCMPri32, Dst: R9, Imm: 0},
 			{Kind: KindJNE}, // -> inner

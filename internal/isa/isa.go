@@ -139,20 +139,58 @@ func (cc *ClassCounts) AddRecs(recs []TraceRec) {
 	}
 }
 
+// PageShift is log2 of PageSize.
+const PageShift = 12
+
+// PageSize is the granularity of Mem's dirty marks: 4 KiB.
+const PageSize = 1 << PageShift
+
 // Mem is the flat physical memory of a simulated machine. All functional
 // cores of the machine share one Mem; the cache models only observe the
 // trace, so functional accesses go straight to the backing slice.
+//
+// Every write goes through the accessors below (Store, Store8..Store64,
+// Bytes), which set the dirty mark of each page they touch. Outside this
+// package, guest memory is written only through them: a write straight
+// into Data escapes the marks, and checkpoint restore (which copies only
+// marked pages) would then leave it in place.
 type Mem struct {
 	Data []byte
+	// Dirty holds one mark per PageSize page of Data, non-zero once the
+	// page may have been written since the owner last cleared the marks
+	// (ClearDirty). One byte per page, set with a plain store: cheaper on
+	// the interpreters' store path than a bitmap's read-modify-write.
+	Dirty []byte
 }
 
-// NewMem allocates size bytes of zeroed memory.
-func NewMem(size int) *Mem { return &Mem{Data: make([]byte, size)} }
+// NewMem allocates size bytes of zeroed memory with every page clean.
+func NewMem(size int) *Mem {
+	return &Mem{Data: make([]byte, size), Dirty: make([]byte, (size+PageSize-1)>>PageShift)}
+}
+
+// ClearDirty marks every page clean.
+func (m *Mem) ClearDirty() { clear(m.Dirty) }
+
+// MemFault is the panic value of an out-of-range guest memory access.
+// Machines that run guest code recover it at their run entry points and
+// return it as an error; any other panic remains a simulator bug.
+type MemFault struct {
+	Op   string // "load", "store" or "bytes"
+	Addr uint64
+	Size uint64 // access width, or the length of a Bytes range
+}
+
+func (f *MemFault) Error() string {
+	if f.Op == "bytes" {
+		return fmt.Sprintf("isa: bytes fault addr=%#x n=%d", f.Addr, f.Size)
+	}
+	return fmt.Sprintf("isa: %s fault addr=%#x sz=%d", f.Op, f.Addr, f.Size)
+}
 
 // Load reads sz little-endian bytes at addr.
 func (m *Mem) Load(addr uint64, sz uint8) uint64 {
 	if addr+uint64(sz) > uint64(len(m.Data)) {
-		panic(fmt.Sprintf("isa: load fault addr=%#x sz=%d", addr, sz))
+		m.loadFault(addr, sz)
 	}
 	var v uint64
 	for i := uint8(0); i < sz; i++ {
@@ -164,31 +202,32 @@ func (m *Mem) Load(addr uint64, sz uint8) uint64 {
 // Store writes the low sz bytes of val at addr, little-endian.
 func (m *Mem) Store(addr uint64, sz uint8, val uint64) {
 	if addr+uint64(sz) > uint64(len(m.Data)) {
-		panic(fmt.Sprintf("isa: store fault addr=%#x sz=%d", addr, sz))
+		panic(&MemFault{Op: "store", Addr: addr, Size: uint64(sz)})
 	}
 	for i := uint8(0); i < sz; i++ {
+		m.Dirty[(addr+uint64(i))>>PageShift] = 1
 		m.Data[addr+uint64(i)] = byte(val >> (8 * i))
 	}
 }
 
-// loadFault/storeFault keep the fault panic (with its message format
-// shared with Load/Store) out of the inlinable fast accessors below.
+// loadFault keeps the load fault panic out of the inlinable fast
+// accessors below.
 //
 //go:noinline
 func (m *Mem) loadFault(addr uint64, sz uint8) {
-	panic(fmt.Sprintf("isa: load fault addr=%#x sz=%d", addr, sz))
-}
-
-//go:noinline
-func (m *Mem) storeFault(addr uint64, sz uint8) {
-	panic(fmt.Sprintf("isa: store fault addr=%#x sz=%d", addr, sz))
+	panic(&MemFault{Op: "load", Addr: addr, Size: uint64(sz)})
 }
 
 // Load8..Load64 / Store8..Store64 are size-specialized, inlinable
 // equivalents of Load/Store for the block interpreters' hot paths, where
 // the access width is fixed at translation time. Semantics (little-endian
-// order, fault condition and panic text) match the generic versions
-// exactly; only the per-byte loop and the non-inlinable panic are gone.
+// order, fault condition and panic value, dirty marks) match the generic
+// versions exactly; only the per-byte loop and the non-inlinable panic
+// are gone. A store wider than a byte marks the page of its first and of
+// its last byte, which differ when it straddles a page boundary. The
+// stores raise their fault inline rather than through a helper like
+// loadFault: with the marks, the call would push them past the inlining
+// budget, while a panic of a composite literal costs the inliner little.
 
 func (m *Mem) Load8(addr uint64) uint64 {
 	if addr >= uint64(len(m.Data)) {
@@ -220,36 +259,49 @@ func (m *Mem) Load64(addr uint64) uint64 {
 
 func (m *Mem) Store8(addr uint64, val uint64) {
 	if addr >= uint64(len(m.Data)) {
-		m.storeFault(addr, 1)
+		panic(&MemFault{Op: "store", Addr: addr, Size: 1})
 	}
+	m.Dirty[addr>>PageShift] = 1
 	m.Data[addr] = byte(val)
 }
 
 func (m *Mem) Store16(addr uint64, val uint64) {
 	if addr+2 > uint64(len(m.Data)) {
-		m.storeFault(addr, 2)
+		panic(&MemFault{Op: "store", Addr: addr, Size: 2})
 	}
+	m.Dirty[addr>>PageShift] = 1
+	m.Dirty[(addr+1)>>PageShift] = 1
 	binary.LittleEndian.PutUint16(m.Data[addr:], uint16(val))
 }
 
 func (m *Mem) Store32(addr uint64, val uint64) {
 	if addr+4 > uint64(len(m.Data)) {
-		m.storeFault(addr, 4)
+		panic(&MemFault{Op: "store", Addr: addr, Size: 4})
 	}
+	m.Dirty[addr>>PageShift] = 1
+	m.Dirty[(addr+3)>>PageShift] = 1
 	binary.LittleEndian.PutUint32(m.Data[addr:], uint32(val))
 }
 
 func (m *Mem) Store64(addr uint64, val uint64) {
 	if addr+8 > uint64(len(m.Data)) {
-		m.storeFault(addr, 8)
+		panic(&MemFault{Op: "store", Addr: addr, Size: 8})
 	}
+	m.Dirty[addr>>PageShift] = 1
+	m.Dirty[(addr+7)>>PageShift] = 1
 	binary.LittleEndian.PutUint64(m.Data[addr:], val)
 }
 
-// Bytes returns the slice [addr, addr+n).
+// Bytes returns the slice [addr, addr+n). The caller may write through
+// it, so every page the range touches is marked dirty, reads included.
 func (m *Mem) Bytes(addr, n uint64) []byte {
-	if addr+n > uint64(len(m.Data)) {
-		panic(fmt.Sprintf("isa: bytes fault addr=%#x n=%d", addr, n))
+	if addr+n > uint64(len(m.Data)) || addr+n < addr {
+		panic(&MemFault{Op: "bytes", Addr: addr, Size: n})
+	}
+	if n > 0 {
+		for pg := addr >> PageShift; pg <= (addr+n-1)>>PageShift; pg++ {
+			m.Dirty[pg] = 1
+		}
 	}
 	return m.Data[addr : addr+n]
 }

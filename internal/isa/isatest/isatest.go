@@ -60,7 +60,7 @@ func NewRunner(arch isa.Arch, m *ir.Module) (*Runner, error) {
 		sb = cisc.Inst{Kind: cisc.KindMOVrr, Dst: cisc.RDI, Src: cisc.RAX}.Encode(sb)
 		sb = cisc.Inst{Kind: cisc.KindMOVri32, Dst: cisc.RAX, Imm: ExitEcall}.Encode(sb)
 		sb = cisc.Inst{Kind: cisc.KindSYSCALL}.Encode(sb)
-		copy(r.Mem.Data[r.stub:], sb)
+		copy(r.Mem.Bytes(r.stub, uint64(len(sb))), sb)
 		c := cisc.NewCore(r.Mem, nil)
 		c.Hook = hook
 		r.core = c

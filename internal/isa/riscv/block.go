@@ -161,9 +161,9 @@ type uop struct {
 // Direct-threaded handler indices. The space is dense and small so the
 // execution switch compiles to a jump table.
 const (
-	uNOP uint8 = iota // fence, and any x0-destination ALU result
-	uCONST            // rd = aux (LUI/AUIPC folded)
-	uADDI             // rd = rs1 + aux
+	uNOP   uint8 = iota // fence, and any x0-destination ALU result
+	uCONST              // rd = aux (LUI/AUIPC folded)
+	uADDI               // rd = rs1 + aux
 	uADDIW
 	uSLTI // rd = int64(rs1) < imm
 	uSLTIU
@@ -201,11 +201,11 @@ const (
 	uSH
 	uSW
 	uSD
-	uJ     // jal x0: pc = imm
-	uJAL   // rd = aux (pc+4), pc = imm
-	uJR    // jalr x0: pc = (rs1+imm)&^1
-	uJALR  // rd = aux (pc+4), pc = (rs1+imm)&^1
-	uBEQ   // taken target in aux, fall-through pc+4
+	uJ    // jal x0: pc = imm
+	uJAL  // rd = aux (pc+4), pc = imm
+	uJR   // jalr x0: pc = (rs1+imm)&^1
+	uJALR // rd = aux (pc+4), pc = (rs1+imm)&^1
+	uBEQ  // taken target in aux, fall-through pc+4
 	uBNE
 	uBLT
 	uBGE
@@ -821,13 +821,13 @@ func (c *Core) stepBlockFastInner(b *block, max int) (int, bool, error) {
 		case uLW:
 			r[u.rd] = isa.SignExtend(c.Mem.Load32(r[u.rs1]+u.aux), 4)
 		case uLD:
-			r[u.rd] = c.Mem.Load64(r[u.rs1]+u.aux)
+			r[u.rd] = c.Mem.Load64(r[u.rs1] + u.aux)
 		case uLBU:
-			r[u.rd] = c.Mem.Load8(r[u.rs1]+u.aux)
+			r[u.rd] = c.Mem.Load8(r[u.rs1] + u.aux)
 		case uLHU:
-			r[u.rd] = c.Mem.Load16(r[u.rs1]+u.aux)
+			r[u.rd] = c.Mem.Load16(r[u.rs1] + u.aux)
 		case uLWU:
-			r[u.rd] = c.Mem.Load32(r[u.rs1]+u.aux)
+			r[u.rd] = c.Mem.Load32(r[u.rs1] + u.aux)
 		case uLoadX0:
 			c.Mem.Load(r[u.rs1]+u.aux, u.rd)
 		case uSB:

@@ -167,7 +167,7 @@ func TestStepNLockstepLoops(t *testing.T) {
 		// x7 = sum over 6 outer iterations of (5+4+3+2+1) = 90.
 		emit(0x1000, Inst{Kind: KindADDI, Rd: 5, Rs1: RegZero, Imm: 6})
 		emit(0x1004, Inst{Kind: KindADDI, Rd: 6, Rs1: RegZero, Imm: 5}) // outer:
-		emit(0x1008, Inst{Kind: KindADD, Rd: 7, Rs1: 7, Rs2: 6})       // inner:
+		emit(0x1008, Inst{Kind: KindADD, Rd: 7, Rs1: 7, Rs2: 6})        // inner:
 		emit(0x100C, Inst{Kind: KindADDI, Rd: 6, Rs1: 6, Imm: -1})
 		emit(0x1010, Inst{Kind: KindBNE, Rs1: 6, Rs2: RegZero, Imm: 0x1008 - 0x1010})
 		emit(0x1014, Inst{Kind: KindADDI, Rd: 5, Rs1: 5, Imm: -1})

@@ -483,3 +483,46 @@ func TestOnInstanceExposesBindings(t *testing.T) {
 		t.Fatal("OnInstance never called for fibonacci-go")
 	}
 }
+
+// TestAcquiredMemoryEqualsMaster: every instance the fleet hands out,
+// freshly booted or recycled after serving, starts from guest memory
+// byte-identical to the master checkpoint's image, whichever pages the
+// restore chose to copy.
+func TestAcquiredMemoryEqualsMaster(t *testing.T) {
+	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+		t.Run(string(arch), func(t *testing.T) {
+			f, err := NewFleet(gemsys.DefaultConfig(arch), specByName(t, "fibonacci-go"), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f.Memoizable() {
+				t.Fatal("fibonacci-go fleet is not memoizable")
+			}
+			inv := 0
+			for round := 0; round < 3; round++ {
+				var insts []*Instance
+				for i := 0; i < 3; i++ {
+					inst, err := f.Acquire()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(inst.b.M.Mem.Data, f.masterCk.MemData) {
+						t.Fatalf("round %d: instance %d memory differs from the master checkpoint", round, inst.ID)
+					}
+					insts = append(insts, inst)
+				}
+				// Serve a different number of invocations on each so the
+				// recycled machines come back with different dirty pages.
+				for i, inst := range insts {
+					for n := 0; n <= i; n++ {
+						if _, _, err := f.Serve(inst, inv); err != nil {
+							t.Fatal(err)
+						}
+						inv++
+					}
+					f.Release(inst)
+				}
+			}
+		})
+	}
+}
