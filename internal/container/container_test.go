@@ -1,6 +1,8 @@
 package container
 
 import (
+	"bytes"
+	"compress/gzip"
 	"testing"
 
 	"svbench/internal/gemsys"
@@ -35,6 +37,37 @@ func TestImageSizesDeterministic(t *testing.T) {
 	}
 	if a.CompressedSize() != b.CompressedSize() || a.Size() != b.Size() {
 		t.Fatal("image build is nondeterministic")
+	}
+}
+
+// TestCompressedSizeMatchesFreshWriter: the pooled, byte-counting
+// compressor reports exactly the length a fresh gzip writer produces,
+// across repeated use of the pool.
+func TestCompressedSizeMatchesFreshWriter(t *testing.T) {
+	for _, rt := range []langrt.Runtime{langrt.GoRT, langrt.PyRT, langrt.NodeRT} {
+		mod, err := langrt.BuildServer(rt, libc.Fast, fibWorkload(), "handler")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+			img, err := BuildImage("fib", rt, arch, mod, ImageOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for _, l := range img.Layers {
+				var buf bytes.Buffer
+				zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+				zw.Write(l.Data)
+				if err := zw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				want += buf.Len()
+			}
+			if got := img.CompressedSize(); got != want {
+				t.Errorf("%s/%s: compressed size %d, fresh writers give %d", rt, arch, got, want)
+			}
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"compress/gzip"
 	"fmt"
 	"sort"
+	"sync"
 
 	"svbench/internal/ir"
 	"svbench/internal/isa"
@@ -55,19 +56,37 @@ func (img *Image) Size() int {
 	return n
 }
 
+// gzipWriters recycles compressors across CompressedSize calls: building
+// one allocates far more than compressing a small layer does.
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is valid
+	return zw
+}}
+
+// byteCounter is an io.Writer that keeps only the number of bytes written.
+type byteCounter int
+
+func (c *byteCounter) Write(p []byte) (int, error) {
+	*c += byteCounter(len(p))
+	return len(p), nil
+}
+
 // CompressedSize gzips every layer (as a registry stores them) and returns
 // the total compressed bytes.
 func (img *Image) CompressedSize() int {
 	if img.compressed != 0 {
 		return img.compressed
 	}
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
 	total := 0
 	for _, l := range img.Layers {
-		var buf bytes.Buffer
-		zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+		var n byteCounter
+		zw.Reset(&n)
+		// Writes to a byteCounter cannot fail.
 		zw.Write(l.Data)
 		zw.Close()
-		total += buf.Len()
+		total += int(n)
 	}
 	img.compressed = total
 	return total

@@ -202,7 +202,7 @@ type O3 struct {
 
 	// Store-to-load forwarding horizon: 8-byte-granule address ->
 	// completion time of the most recent store.
-	storeDone map[uint64]uint64
+	storeDone storeTable
 
 	Stats WindowStats
 
@@ -223,13 +223,13 @@ func NewO3(cfg O3Config, hier *mem.Hierarchy, coupler *Coupler) *O3 {
 		robRing:   make([]uint64, cfg.ROBSize),
 		loadRing:  make([]uint64, cfg.LQSize),
 		storeRing: make([]uint64, cfg.SQSize),
-		storeDone: map[uint64]uint64{},
 		now:       1,
 	}
 	o.issueRing.cap = uint8(cfg.IssueWidth)
 	o.mulDivRing.cap = uint8(cfg.MulDivUnits)
 	o.loadPorts.cap = uint8(cfg.LoadPorts)
 	o.storePorts.cap = uint8(cfg.StorePorts)
+	o.storeDone.clear()
 	return o
 }
 
@@ -302,7 +302,7 @@ func (o *O3) ResetPipeline(coupler *Coupler) {
 	o.mulDivRing = slotRing{cap: o.mulDivRing.cap}
 	o.loadPorts = slotRing{cap: o.loadPorts.cap}
 	o.storePorts = slotRing{cap: o.storePorts.cap}
-	o.storeDone = map[uint64]uint64{}
+	o.storeDone.clear()
 	o.BP.Flush()
 	o.BP.ResetStats()
 	o.Stats = WindowStats{}
@@ -415,7 +415,7 @@ func (o *O3) Retire(rec *isa.TraceRec) (uint64, error) {
 	case isa.ClassLoad:
 		issue := o.issueRing.reserve(o.loadPorts.reserve(ready))
 		// Store-to-load dependency on the same granule.
-		if t, ok := o.storeDone[rec.MemAddr>>3]; ok && t > issue {
+		if t, ok := o.storeDone.get(rec.MemAddr >> 3); ok && t > issue {
 			issue = t
 		}
 		complete = o.Hier.AccessD(issue, rec.MemAddr, false)
@@ -423,10 +423,7 @@ func (o *O3) Retire(rec *isa.TraceRec) (uint64, error) {
 	case isa.ClassStore:
 		issue := o.issueRing.reserve(o.storePorts.reserve(ready))
 		complete = o.Hier.AccessD(issue, rec.MemAddr, true)
-		o.storeDone[rec.MemAddr>>3] = complete
-		if len(o.storeDone) > 512 {
-			o.storeDone = map[uint64]uint64{} // bound the forwarding map
-		}
+		o.storeDone.put(rec.MemAddr>>3, complete)
 		o.Stats.Stores++
 	case isa.ClassEcall, isa.ClassFence:
 		// Serializing: waits for every older instruction to commit.
@@ -676,5 +673,5 @@ func (o *O3) WindowCycles() uint64 { return o.lastCommit - o.Stats.StartCycle }
 func (o *O3) ColdStart() {
 	o.Hier.Flush()
 	o.BP.Flush()
-	o.storeDone = map[uint64]uint64{}
+	o.storeDone.clear()
 }

@@ -602,13 +602,15 @@ func (m *Machine) CheckpointPending() bool { return m.ckptReq }
 
 func (m *Machine) queueLen(ci int) int { return len(m.traces[ci]) - m.cursor[ci] }
 
-func (m *Machine) popRec(ci int) {
-	m.cursor[ci]++
-	m.compactTrace(ci)
-}
-
-// compactTrace drops the consumed queue prefix once it dominates.
+// compactTrace rewinds a drained queue to its start, so recording refills
+// the same small buffer, and otherwise drops the consumed prefix once it
+// dominates.
 func (m *Machine) compactTrace(ci int) {
+	if m.cursor[ci] == len(m.traces[ci]) {
+		m.traces[ci] = m.traces[ci][:0]
+		m.cursor[ci] = 0
+		return
+	}
 	if m.cursor[ci] > 1<<16 && m.cursor[ci]*2 > len(m.traces[ci]) {
 		n := copy(m.traces[ci], m.traces[ci][m.cursor[ci]:])
 		m.traces[ci] = m.traces[ci][:n]
@@ -787,7 +789,7 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 		}
 		orderCoresByTime(order, times)
 		progressed := false
-		for _, ci := range order {
+		for k, ci := range order {
 			if m.queueLen(ci) == 0 {
 				continue
 			}
@@ -822,95 +824,136 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 					// through to the per-record path.
 				}
 			}
-			rec := &m.traces[ci][m.cursor[ci]]
-			var ct uint64
-			var err error
-			if smp == nil {
-				ct, err = m.O3[ci].Retire(rec)
-			} else {
-				switch smp.phase {
-				case phaseDetail, phaseDetailPre:
+			// Retire a run of records from ci, choosing the core once
+			// per run. The run is exactly the per-record interleave: a
+			// plain record moves only ci's own clock, and another core
+			// can become eligible only when a send posts to the coupler
+			// or pump runs. So ci stays first until it reaches a flagged
+			// or idle record, the budget, or a sampler phase change, or
+			// until next, the first core after it in (time, index) order
+			// with queued records, would come first. The run consumes
+			// recs in place and advances the cursor once at its end.
+			next := -1
+			for _, cj := range order[k+1:] {
+				if m.queueLen(cj) > 0 {
+					next = cj
+					break
+				}
+			}
+			var phase evalPhase
+			if smp != nil {
+				phase = smp.phase
+			}
+			recs := m.traces[ci][m.cursor[ci]:]
+			n := 0
+			for {
+				rec := &recs[n]
+				var ct uint64
+				var err error
+				if smp == nil {
 					ct, err = m.O3[ci].Retire(rec)
-				case phaseWarm:
-					ct, err = m.O3[ci].FastForward(rec, true)
-				default:
-					ct, err = m.O3[ci].FastForward(rec, false)
-				}
-			}
-			if err == cpu.ErrWait {
-				continue
-			}
-			if err != nil {
-				return dumps, err
-			}
-			flags := rec.Flags
-			if m.Tracer != nil {
-				// All reads from rec happen before popRec: queue
-				// compaction may move the record.
-				m.Tracer.EmitAt(trace.EvInstRetire, uint8(ci), ct, rec.PC,
-					uint64(rec.Class), uint64(rec.MicroOps))
-				if flags&isa.FlagSend != 0 {
-					m.Tracer.EmitAt(trace.EvIPCSend, uint8(ci), ct, rec.PC, rec.Seq, 0)
-				}
-				if flags&isa.FlagRecv != 0 {
-					m.Tracer.EmitAt(trace.EvIPCRecv, uint8(ci), ct, rec.PC, rec.Seq, 0)
-				}
-				if flags&isa.FlagM5Reset != 0 {
-					m.Tracer.EmitAt(trace.EvM5Reset, uint8(ci), ct, rec.PC, 0, 0)
-				}
-				if flags&isa.FlagM5Dump != 0 {
-					m.Tracer.EmitAt(trace.EvM5Dump, uint8(ci), ct, rec.PC, 0, 0)
-				}
-			}
-			if m.Prof != nil {
-				switch rec.Class {
-				case isa.ClassCall:
-					m.Prof.OnCall(ci, rec.Target)
-				case isa.ClassRet:
-					m.Prof.OnRet(ci)
-				case isa.ClassEcall:
-					if flags&isa.FlagVector != 0 {
-						// The handler's ret balances this push.
-						m.Prof.OnCall(ci, rec.Seq)
+				} else {
+					switch smp.phase {
+					case phaseDetail, phaseDetailPre:
+						ct, err = m.O3[ci].Retire(rec)
+					case phaseWarm:
+						ct, err = m.O3[ci].FastForward(rec, true)
+					default:
+						ct, err = m.O3[ci].FastForward(rec, false)
 					}
 				}
-				if rec.Class == isa.ClassIdle {
-					m.Prof.SkipIdle(ci, ct)
-				} else {
-					m.Prof.Observe(ci, ct, rec.PC)
+				if err == cpu.ErrWait {
+					// Only a run's first record can wait: later ones
+					// are plain.
+					break
+				}
+				if err != nil {
+					return dumps, err
+				}
+				flags := rec.Flags
+				if m.Tracer != nil {
+					m.Tracer.EmitAt(trace.EvInstRetire, uint8(ci), ct, rec.PC,
+						uint64(rec.Class), uint64(rec.MicroOps))
+					if flags&isa.FlagSend != 0 {
+						m.Tracer.EmitAt(trace.EvIPCSend, uint8(ci), ct, rec.PC, rec.Seq, 0)
+					}
+					if flags&isa.FlagRecv != 0 {
+						m.Tracer.EmitAt(trace.EvIPCRecv, uint8(ci), ct, rec.PC, rec.Seq, 0)
+					}
+					if flags&isa.FlagM5Reset != 0 {
+						m.Tracer.EmitAt(trace.EvM5Reset, uint8(ci), ct, rec.PC, 0, 0)
+					}
+					if flags&isa.FlagM5Dump != 0 {
+						m.Tracer.EmitAt(trace.EvM5Dump, uint8(ci), ct, rec.PC, 0, 0)
+					}
+				}
+				if m.Prof != nil {
+					switch rec.Class {
+					case isa.ClassCall:
+						m.Prof.OnCall(ci, rec.Target)
+					case isa.ClassRet:
+						m.Prof.OnRet(ci)
+					case isa.ClassEcall:
+						if flags&isa.FlagVector != 0 {
+							// The handler's ret balances this push.
+							m.Prof.OnCall(ci, rec.Seq)
+						}
+					}
+					if rec.Class == isa.ClassIdle {
+						m.Prof.SkipIdle(ci, ct)
+					} else {
+						m.Prof.Observe(ci, ct, rec.PC)
+					}
+				}
+				if smp != nil {
+					smp.account(ci, rec)
+				}
+				n++
+				retired++
+				m.evalRetired = retired
+				if flags&isa.FlagM5Reset != 0 {
+					for _, o := range m.O3 {
+						o.ResetStats()
+					}
+					for _, d := range m.ecallLat {
+						d.Reset()
+					}
+					if smp != nil {
+						smp.reset(retired)
+					}
+				}
+				if flags&isa.FlagM5Dump != 0 {
+					ndump++
+					if smp != nil {
+						dumps = append(dumps, smp.dump(m, fmt.Sprintf("dump%d", ndump)))
+					} else {
+						dumps = append(dumps, m.collectStats(fmt.Sprintf("dump%d", ndump)))
+					}
+				}
+				if smp != nil {
+					smp.advance(retired)
+					if smp.phase != phase {
+						break
+					}
+				}
+				if flags != 0 || rec.Class == isa.ClassIdle || retired >= budget || n == len(recs) {
+					break
+				}
+				if head := &recs[n]; head.Flags != 0 || head.Class == isa.ClassIdle {
+					break
+				}
+				if next >= 0 {
+					if t := m.O3[ci].Now(); t > times[next] || (t == times[next] && ci > next) {
+						break
+					}
 				}
 			}
-			if smp != nil {
-				// Like the tracer/profiler reads above, account must see
-				// rec before popRec's queue compaction can move it.
-				smp.account(ci, rec)
+			if n == 0 {
+				continue
 			}
-			m.popRec(ci)
+			m.cursor[ci] += n
+			m.compactTrace(ci)
 			progressed = true
-			retired++
-			m.evalRetired = retired
-			if flags&isa.FlagM5Reset != 0 {
-				for _, o := range m.O3 {
-					o.ResetStats()
-				}
-				for _, d := range m.ecallLat {
-					d.Reset()
-				}
-				if smp != nil {
-					smp.reset(retired)
-				}
-			}
-			if flags&isa.FlagM5Dump != 0 {
-				ndump++
-				if smp != nil {
-					dumps = append(dumps, smp.dump(m, fmt.Sprintf("dump%d", ndump)))
-				} else {
-					dumps = append(dumps, m.collectStats(fmt.Sprintf("dump%d", ndump)))
-				}
-			}
-			if smp != nil {
-				smp.advance(retired)
-			}
 			break
 		}
 		if progressed {

@@ -42,3 +42,33 @@ func BenchmarkRestore(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunEval times full-detail O3 replay: each iteration restores
+// the fib client/server pair's post-setup checkpoint with the timer
+// stopped and runs RunEval to the end. rec/s is the eval layer's rate in
+// retired trace records per second.
+func BenchmarkRunEval(b *testing.B) {
+	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+		m := bootClientServer(b, arch, 200)
+		if err := m.RunSetup(50_000_000); err != nil {
+			b.Fatal(err)
+		}
+		ck := m.TakeCheckpoint()
+		b.Run(string(arch), func(b *testing.B) {
+			b.ReportAllocs()
+			var recs uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := m.Restore(ck); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := m.RunEval(100_000_000); err != nil {
+					b.Fatal(err)
+				}
+				recs += m.EvalRetired()
+			}
+			b.ReportMetric(float64(recs)/b.Elapsed().Seconds(), "rec/s")
+		})
+	}
+}

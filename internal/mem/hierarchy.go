@@ -55,9 +55,15 @@ type TLBConfig struct {
 
 // TLB is a fully-associative LRU translation buffer. The simulator uses a
 // flat physical address space, so the TLB models translation *cost* only.
+// Resident pages and their last-use ticks live in two parallel slices of
+// Entries slots; every Access and Warm takes a fresh tick, so ticks are
+// unique and the least-recently-used victim is unambiguous.
 type TLB struct {
 	cfg    TLBConfig
-	pages  map[uint64]uint64 // page -> last-use tick
+	pages  []uint64 // pages[:n] are resident
+	used   []uint64 // last-use tick of pages[i]
+	n      int
+	mru    int // slot of the most recent hit or fill
 	tick   uint64
 	Hits   uint64
 	Misses uint64
@@ -74,62 +80,59 @@ func NewTLB(cfg TLBConfig) *TLB {
 	if cfg.MissPenalty == 0 {
 		cfg.MissPenalty = 30
 	}
-	return &TLB{cfg: cfg, pages: make(map[uint64]uint64, cfg.Entries)}
+	return &TLB{cfg: cfg, pages: make([]uint64, cfg.Entries), used: make([]uint64, cfg.Entries)}
+}
+
+// touch looks addr's page up, refreshing its last-use tick, and fills it
+// on a miss (evicting the LRU page when full). It reports whether the
+// page was resident.
+func (t *TLB) touch(addr uint64) bool {
+	t.tick++
+	page := addr >> t.cfg.PageBits
+	if t.n > 0 && t.pages[t.mru] == page {
+		t.used[t.mru] = t.tick
+		return true
+	}
+	for i, p := range t.pages[:t.n] {
+		if p == page {
+			t.used[i] = t.tick
+			t.mru = i
+			return true
+		}
+	}
+	slot := t.n
+	if t.n < len(t.pages) {
+		t.n++
+	} else {
+		slot = 0
+		for i, u := range t.used {
+			if u < t.used[slot] {
+				slot = i
+			}
+		}
+	}
+	t.pages[slot] = page
+	t.used[slot] = t.tick
+	t.mru = slot
+	return false
 }
 
 // Access translates addr, returning the added latency (0 on hit).
 func (t *TLB) Access(addr uint64) uint64 {
-	t.tick++
-	page := addr >> t.cfg.PageBits
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.tick
+	if t.touch(addr) {
 		t.Hits++
 		return 0
 	}
 	t.Misses++
-	if len(t.pages) >= t.cfg.Entries {
-		// Evict LRU.
-		var victim uint64
-		oldest := ^uint64(0)
-		for p, use := range t.pages {
-			if use < oldest {
-				oldest = use
-				victim = p
-			}
-		}
-		delete(t.pages, victim)
-	}
-	t.pages[page] = t.tick
 	return t.cfg.MissPenalty
 }
 
 // Warm touches addr's page, updating residency and LRU age exactly as
 // Access would but without counting hits/misses or returning a penalty.
-func (t *TLB) Warm(addr uint64) {
-	t.tick++
-	page := addr >> t.cfg.PageBits
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.tick
-		return
-	}
-	if len(t.pages) >= t.cfg.Entries {
-		var victim uint64
-		oldest := ^uint64(0)
-		for p, use := range t.pages {
-			if use < oldest {
-				oldest = use
-				victim = p
-			}
-		}
-		delete(t.pages, victim)
-	}
-	t.pages[page] = t.tick
-}
+func (t *TLB) Warm(addr uint64) { t.touch(addr) }
 
 // Flush empties the TLB.
-func (t *TLB) Flush() {
-	t.pages = make(map[uint64]uint64, t.cfg.Entries)
-}
+func (t *TLB) Flush() { t.n = 0 }
 
 // ResetStats zeroes counters.
 func (t *TLB) ResetStats() { t.Hits, t.Misses = 0, 0 }

@@ -187,6 +187,89 @@ func TestTLB(t *testing.T) {
 	}
 }
 
+// refTLB is the map-based TLB the slot-array TLB replaced, kept as its
+// reference model: page -> last-use tick, LRU victim by smallest tick.
+type refTLB struct {
+	cfg          TLBConfig
+	pages        map[uint64]uint64
+	tick         uint64
+	hits, misses uint64
+}
+
+func newRefTLB(cfg TLBConfig) *refTLB {
+	return &refTLB{cfg: cfg, pages: map[uint64]uint64{}}
+}
+
+// touch mirrors Access (count=true) and Warm (count=false).
+func (r *refTLB) touch(addr uint64, count bool) uint64 {
+	r.tick++
+	page := addr >> r.cfg.PageBits
+	if _, ok := r.pages[page]; ok {
+		r.pages[page] = r.tick
+		if count {
+			r.hits++
+		}
+		return 0
+	}
+	if count {
+		r.misses++
+	}
+	if len(r.pages) >= r.cfg.Entries {
+		var victim uint64
+		oldest := ^uint64(0)
+		for p, use := range r.pages {
+			if use < oldest {
+				oldest = use
+				victim = p
+			}
+		}
+		delete(r.pages, victim)
+	}
+	r.pages[page] = r.tick
+	if !count {
+		return 0
+	}
+	return r.cfg.MissPenalty
+}
+
+func TestTLBMatchesReferenceModel(t *testing.T) {
+	rnd := rand.New(rand.NewSource(13))
+	for _, entries := range []int{1, 2, 64} {
+		cfg := TLBConfig{Entries: entries, PageBits: 12, MissPenalty: 30}
+		tlb, ref := NewTLB(cfg), newRefTLB(cfg)
+		// Twice as many pages as entries, with a hot subset, so hits,
+		// capacity evictions and MRU-slot hits all occur.
+		npages := 2 * entries
+		for i := 0; i < 20000; i++ {
+			page := uint64(rnd.Intn(npages))
+			if rnd.Intn(4) != 0 {
+				page %= uint64(entries+1)/2 + 1
+			}
+			addr := page<<12 | uint64(rnd.Intn(4096))
+			switch op := rnd.Intn(100); {
+			case op < 1:
+				tlb.Flush()
+				ref.pages = map[uint64]uint64{}
+			case op < 25:
+				tlb.Warm(addr)
+				ref.touch(addr, false)
+			default:
+				if got, want := tlb.Access(addr), ref.touch(addr, true); got != want {
+					t.Fatalf("entries=%d op %d addr=%#x: latency %d, want %d", entries, i, addr, got, want)
+				}
+			}
+			if tlb.Hits != ref.hits || tlb.Misses != ref.misses {
+				t.Fatalf("entries=%d op %d: hits/misses %d/%d, want %d/%d",
+					entries, i, tlb.Hits, tlb.Misses, ref.hits, ref.misses)
+			}
+		}
+		if tlb.Hits == 0 || tlb.Misses == 0 {
+			t.Fatalf("entries=%d: stream exercised only one outcome (%d hits, %d misses)",
+				entries, tlb.Hits, tlb.Misses)
+		}
+	}
+}
+
 func TestHierarchyLatencies(t *testing.T) {
 	dram := NewDRAM(DRAMConfig{Latency: 200, BusCycle: 16})
 	h := NewHierarchy(DefaultHierConfig(), dram)
