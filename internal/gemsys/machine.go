@@ -774,7 +774,6 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 	var dumps []stats.Dump
 	var retired uint64
 	m.evalRetired = 0
-	ndump := 0
 	order := make([]int, m.Cfg.Cores)
 	times := make([]uint64, m.Cfg.Cores)
 	for {
@@ -911,24 +910,8 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 				n++
 				retired++
 				m.evalRetired = retired
-				if flags&isa.FlagM5Reset != 0 {
-					for _, o := range m.O3 {
-						o.ResetStats()
-					}
-					for _, d := range m.ecallLat {
-						d.Reset()
-					}
-					if smp != nil {
-						smp.reset(retired)
-					}
-				}
-				if flags&isa.FlagM5Dump != 0 {
-					ndump++
-					if smp != nil {
-						dumps = append(dumps, smp.dump(m, fmt.Sprintf("dump%d", ndump)))
-					} else {
-						dumps = append(dumps, m.collectStats(fmt.Sprintf("dump%d", ndump)))
-					}
+				if flags&(isa.FlagM5Reset|isa.FlagM5Dump) != 0 {
+					dumps = m.m5Markers(flags, smp, retired, dumps)
 				}
 				if smp != nil {
 					smp.advance(retired)
@@ -1010,19 +993,7 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 				}
 				if pend := m.m5Pending; pend != 0 {
 					m.m5Pending = 0
-					if pend&isa.FlagM5Reset != 0 {
-						for _, o := range m.O3 {
-							o.ResetStats()
-						}
-						for _, d := range m.ecallLat {
-							d.Reset()
-						}
-						smp.reset(retired)
-					}
-					if pend&isa.FlagM5Dump != 0 {
-						ndump++
-						dumps = append(dumps, smp.dump(m, fmt.Sprintf("dump%d", ndump)))
-					}
+					dumps = m.m5Markers(pend, smp, retired, dumps)
 				}
 				smp.advance(retired)
 				if n > 0 {
@@ -1038,6 +1009,34 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 			return dumps, fmt.Errorf("%w (eval: all processes blocked)", ErrDeadlock)
 		}
 	}
+}
+
+// m5Markers applies the m5 markers in flags, met after retired records,
+// wherever RunEvalSampled meets them: on a flagged record, or parked by
+// the hook during a sprint. A reset zeroes the O3 and ecall-latency stats
+// and restarts the sampler's measurement; a dump then appends the next
+// stats dump, extrapolated when sampling (smp != nil).
+func (m *Machine) m5Markers(flags uint8, smp *sampler, retired uint64, dumps []stats.Dump) []stats.Dump {
+	if flags&isa.FlagM5Reset != 0 {
+		for _, o := range m.O3 {
+			o.ResetStats()
+		}
+		for _, d := range m.ecallLat {
+			d.Reset()
+		}
+		if smp != nil {
+			smp.reset(retired)
+		}
+	}
+	if flags&isa.FlagM5Dump != 0 {
+		name := fmt.Sprintf("dump%d", len(dumps)+1)
+		if smp != nil {
+			dumps = append(dumps, smp.dump(m, name))
+		} else {
+			dumps = append(dumps, m.collectStats(name))
+		}
+	}
+	return dumps
 }
 
 // Quiescent reports whether the machine is alive but idle: not halted,

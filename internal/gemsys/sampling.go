@@ -3,6 +3,7 @@ package gemsys
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"svbench/internal/cpu"
 	"svbench/internal/isa"
@@ -68,24 +69,31 @@ func (sc SamplingConfig) String() string {
 
 // ParseSamplingConfig parses a config from its String form
 // ("u50000-w4000-d2000") or a bare "interval,warmup,detail" triple.
-// "full-detail" and "" return the zero value (sampling off). The result
-// is validated.
+// "full-detail" and "" return the zero value (sampling off). Input with
+// anything after the third number is rejected. The result is validated.
 func ParseSamplingConfig(s string) (SamplingConfig, error) {
 	var sc SamplingConfig
 	switch s {
 	case "", "full-detail":
 		return sc, nil
 	}
-	if _, err := fmt.Sscanf(s, "u%d-w%d-d%d", &sc.Interval, &sc.Warmup, &sc.Detail); err != nil {
-		if _, err := fmt.Sscanf(s, "%d,%d,%d", &sc.Interval, &sc.Warmup, &sc.Detail); err != nil {
-			return SamplingConfig{}, fmt.Errorf(
-				"gemsys: sampling config %q: want uU-wW-dD or U,W,D (e.g. %s)", s, DefaultSamplingConfig())
-		}
+	if !scanAll(s, "u%d-w%d-d%d", &sc.Interval, &sc.Warmup, &sc.Detail) &&
+		!scanAll(s, "%d,%d,%d", &sc.Interval, &sc.Warmup, &sc.Detail) {
+		return SamplingConfig{}, fmt.Errorf(
+			"gemsys: sampling config %q: want uU-wW-dD or U,W,D (e.g. %s)", s, DefaultSamplingConfig())
 	}
 	if err := sc.Validate(); err != nil {
 		return SamplingConfig{}, err
 	}
 	return sc, nil
+}
+
+// scanAll reports whether format matches all of s, which fmt.Sscanf alone
+// does not check: it stops after the last verb.
+func scanAll(s, format string, args ...any) bool {
+	r := strings.NewReader(s)
+	_, err := fmt.Fscanf(r, format, args...)
+	return err == nil && r.Len() == 0
 }
 
 // evalPhase is the sampler's position within the current interval.

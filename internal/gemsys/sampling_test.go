@@ -43,6 +43,39 @@ func TestSamplingConfigValidate(t *testing.T) {
 	}
 }
 
+// TestParseSamplingConfig accepts both spellings and the sampling-off
+// forms, rejects input with anything after the third number, and
+// round-trips the default config through its String form.
+func TestParseSamplingConfig(t *testing.T) {
+	def := DefaultSamplingConfig()
+	cases := []struct {
+		in   string
+		want SamplingConfig
+		ok   bool
+	}{
+		{"", SamplingConfig{}, true},
+		{"full-detail", SamplingConfig{}, true},
+		{"u50000-w4000-d2000", def, true},
+		{"50000,4000,2000", def, true},
+		{"u100-w0-d100", SamplingConfig{Interval: 100, Detail: 100}, true},
+		{"50000,4000,2000,7", SamplingConfig{}, false},
+		{"u50000-w4000-d2000xyz", SamplingConfig{}, false},
+		{"u1-w0-d1 trailing", SamplingConfig{}, false},
+		{"u100-w60-d50", SamplingConfig{}, false}, // parses, fails Validate
+		{"u50000-w4000", SamplingConfig{}, false},
+		{"default", SamplingConfig{}, false},
+	}
+	for _, c := range cases {
+		got, err := ParseSamplingConfig(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseSamplingConfig(%q) = %+v, %v; want %+v, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+	if got, err := ParseSamplingConfig(def.String()); err != nil || got != def {
+		t.Errorf("ParseSamplingConfig(%q) = %+v, %v; want %+v", def.String(), got, err, def)
+	}
+}
+
 // TestOrderCoresByTime pins the generic interleaver: cores sort ascending
 // by local commit time with index order breaking ties, for any core count
 // — so a future >2-core machine cannot silently break eval mode.

@@ -65,10 +65,16 @@ func TestChainInvalidationContract(t *testing.T) {
 			if st.Hits < 190 {
 				t.Fatalf("only %d chain hits after 400 steps", st.Hits)
 			}
-			a, b := d.blocks[0x1000], d.blocks[0x2000]
-			if a == nil || b == nil || a.link0 != b || b.link0 != a {
-				t.Fatalf("loop blocks not mutually linked: a=%p b=%p", a, b)
+			// Mutually linked loop blocks resolve only the StepN entry
+			// through the map (the link fields are checked in
+			// internal/isa).
+			if _, _, err := core.StepN(400, nil); err != nil {
+				t.Fatal(err)
 			}
+			if st2 := d.ChainStats(); st2.Misses != st.Misses+1 {
+				t.Fatalf("loop blocks not mutually linked: misses %d -> %d", st.Misses, st2.Misses)
+			}
+			st = d.ChainStats()
 			// Self-modify B's body: R9 += 2 becomes R10 += 3.
 			var patched []byte
 			patched = Inst{Kind: KindADDri32, Dst: R10, Imm: 3}.Encode(patched)
@@ -112,28 +118,19 @@ func TestResetChains(t *testing.T) {
 	if st.Blocks == 0 || st.Misses == 0 || st.Hits == 0 {
 		t.Fatalf("no chain activity after 300 steps: %+v", st)
 	}
-	nBlocks := len(d.blocks)
-	if nBlocks == 0 {
-		t.Fatal("no translated blocks")
-	}
 	d.ResetChains()
 	if st2 := d.ChainStats(); st2 != (isa.ChainStats{}) {
 		t.Fatalf("ResetChains left telemetry behind: %+v", st2)
-	}
-	if len(d.blocks) != nBlocks {
-		t.Fatalf("ResetChains dropped blocks: %d -> %d", nBlocks, len(d.blocks))
-	}
-	for pc, b := range d.blocks {
-		if b.link0 != nil || b.link1 != nil || b.link0pc != 0 || b.link1pc != 0 {
-			t.Fatalf("block %#x kept a link after ResetChains", pc)
-		}
 	}
 	// Execution continues on the link-less (but still warm) cache: the
 	// new generation re-counts entered blocks and re-patches links.
 	if _, _, err := core.StepN(300, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st3 := d.ChainStats(); st3.Blocks != 2 || st3.Hits == 0 {
+	// Severed links send both first transitions back through the map:
+	// the entry plus two misses. That the blocks themselves survive is
+	// checked in internal/isa.
+	if st3 := d.ChainStats(); st3.Blocks != 2 || st3.Hits == 0 || st3.Misses != 3 {
 		t.Fatalf("chain did not restart after ResetChains: %+v", st3)
 	}
 }

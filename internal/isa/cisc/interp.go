@@ -66,20 +66,9 @@ type DecodeCache struct {
 	seqKey  uint64
 	seqPg   *decPage
 
-	// blocks caches translated basic blocks by entry PC (see block.go).
-	blocks map[uint64]*block
-	mruBPC uint64
-	mruB   *block
-
-	// Superblock-chaining telemetry (see isa.ChainStats). epoch is the
-	// current distinct-block accounting generation: a block whose epoch
-	// field lags it has not been entered since the last ResetChains. It
-	// starts at 1 so freshly built blocks (epoch 0) always count.
-	chainHits   uint64
-	chainMisses uint64
-	chainBreaks uint64
-	blocksUsed  uint64
-	epoch       uint64
+	// Translated basic blocks, superblock links and chain telemetry
+	// (see isa.BlockCache; translation and the walker are in block.go).
+	isa.BlockCache[uop]
 }
 
 type decPage struct {
@@ -88,66 +77,26 @@ type decPage struct {
 
 // NewDecodeCache returns an empty cache.
 func NewDecodeCache() *DecodeCache {
-	return &DecodeCache{pages: map[uint64]*decPage{}, blocks: map[uint64]*block{}, epoch: 1}
+	return NewDecodeCacheShared(nil)
 }
 
 // NewDecodeCacheShared returns an empty cache backed by an immutable
 // pre-decoded overlay (may be nil).
 func NewDecodeCacheShared(shared *SharedText) *DecodeCache {
-	return &DecodeCache{shared: shared, pages: map[uint64]*decPage{}, blocks: map[uint64]*block{}, epoch: 1}
+	return &DecodeCache{shared: shared, pages: map[uint64]*decPage{}, BlockCache: isa.NewBlockCache[uop]()}
 }
 
 // InvalidateBlocks is the text-overwrite barrier: it drops every
-// translated basic block AND every cached decoded instruction, which
-// also severs every superblock link — a link can only point at a block
-// reachable from the dropped map, and execution never holds block
-// pointers across a StepN return, so no stale chain can survive.
-// Callers that overwrite text must use this; severed links are counted
-// as chain breaks. The immutable SharedText overlay is not (and must
-// not be) dropped: it only covers the read-only program image.
+// translated basic block, severing every superblock link (see
+// isa.BlockCache.Invalidate), AND every cached decoded instruction.
+// Callers that overwrite text must use this. The immutable SharedText
+// overlay is not (and must not be) dropped: it only covers the read-only
+// program image.
 func (d *DecodeCache) InvalidateBlocks() {
-	for _, b := range d.blocks {
-		if b.link0 != nil {
-			d.chainBreaks++
-		}
-		if b.link1 != nil {
-			d.chainBreaks++
-		}
-	}
-	d.blocks = map[uint64]*block{}
-	d.mruBPC, d.mruB = 0, nil
+	d.Invalidate()
 	d.pages = map[uint64]*decPage{}
 	d.mruK, d.mruV = 0, nil
 	d.seqPC, d.seqSize, d.seqKey, d.seqPg = 0, 0, 0, nil
-}
-
-// ResetChains severs every superblock link and starts a fresh telemetry
-// epoch while keeping the translated blocks themselves. Checkpoint
-// restore calls this: blocks survive (the restored image is
-// text-identical, so re-translating would only penalize restore-heavy
-// callers like the sweep engine) but links must not — with links dropped,
-// the first post-restore entry into every block goes through the entry-PC
-// map, so chain telemetry after a restore is identical whether the block
-// cache was warm (reused machine) or cold (memoized checkpoint into a
-// fresh machine), keeping stats exports byte-identical across both.
-func (d *DecodeCache) ResetChains() {
-	for _, b := range d.blocks {
-		b.link0, b.link1 = nil, nil
-		b.link0pc, b.link1pc = 0, 0
-	}
-	d.epoch++
-	d.chainHits, d.chainMisses, d.chainBreaks, d.blocksUsed = 0, 0, 0, 0
-}
-
-// ChainStats snapshots the superblock-chaining telemetry accumulated
-// since the last ResetChains.
-func (d *DecodeCache) ChainStats() isa.ChainStats {
-	return isa.ChainStats{
-		Blocks: d.blocksUsed,
-		Hits:   d.chainHits,
-		Misses: d.chainMisses,
-		Breaks: d.chainBreaks,
-	}
 }
 
 func (d *DecodeCache) lookup(pc uint64, mem *isa.Mem) (Inst, error) {
@@ -204,6 +153,10 @@ type Core struct {
 	nInstr   uint64
 	classes  isa.ClassCounts // census of the no-trace lane (see isa.ClassCounts)
 	inflight *isa.TraceRec
+
+	// scratch receives the dynamic trace fields the block walker writes in
+	// StepN's no-trace lane; nothing reads it.
+	scratch [isa.MaxBlockLen]isa.TraceRec
 
 	// DebugRing, when non-nil, records the most recent executed PCs for
 	// post-mortem diagnostics.

@@ -37,6 +37,7 @@ func lockstep(t *testing.T, mk func() *Core, batches []int, maxRounds int) *Core
 		var ferr error
 		n, out, ferr := fastT.StepN(k, fastRecs[:0])
 		fastRecs = out
+		before := fastF.Classes()
 		n2, _, ferr2 := fastF.StepN(k, nil)
 		if n2 != n || errText(ferr2) != errText(ferr) {
 			t.Fatalf("round %d: no-trace lane diverged: n=%d err=%v vs n=%d err=%v",
@@ -65,6 +66,16 @@ func lockstep(t *testing.T, mk func() *Core, batches []int, maxRounds int) *Core
 			if refRecs[i] != fastRecs[i] {
 				t.Fatalf("round %d rec %d:\nref  %+v\nfast %+v", round, i, refRecs[i], fastRecs[i])
 			}
+		}
+		// The no-trace lane folds a census instead of building records; it
+		// must count exactly what the reference records would.
+		var census isa.ClassCounts
+		census.AddRecs(refRecs)
+		if got := fastF.Classes().Since(before); got != census {
+			t.Fatalf("round %d: no-trace census %+v, want %+v", round, got, census)
+		}
+		if ct, cf := fastT.Dec.ChainStats(), fastF.Dec.ChainStats(); ct != cf {
+			t.Fatalf("round %d: chain stats diverged between lanes: trace %+v, no-trace %+v", round, ct, cf)
 		}
 		rs, ts, fs := ref.Snapshot(), fastT.Snapshot(), fastF.Snapshot()
 		if !reflect.DeepEqual(rs, ts) || !reflect.DeepEqual(rs, fs) {
@@ -182,6 +193,57 @@ func TestStepNLockstepEcallVariants(t *testing.T) {
 	}
 }
 
+// BenchmarkStepN times both StepN lanes running corpus programs to halt
+// in scheduler-sized quanta on a reused core, so after the first run every
+// block is translated and chained. It reports guest MIPS.
+func BenchmarkStepN(b *testing.B) {
+	m, cases := irtest.Corpus()
+	prog, err := Compile(m, 0x10000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const quantum = 256 // the machine's default scheduling quantum
+	for _, lane := range []string{"trace", "notrace"} {
+		for _, c := range cases {
+			if c.Name != "checksum" && c.Name != "fib-30" && c.Name != "caller" {
+				continue
+			}
+			c := c
+			b.Run(lane+"/"+c.Fn, func(b *testing.B) {
+				core := corpusCore(prog, c.Fn, c.Args, 0)()
+				start := core.Snapshot()
+				var recs []isa.TraceRec // nil selects the no-trace lane
+				if lane == "trace" {
+					recs = make([]isa.TraceRec, 0, quantum)
+				}
+				var insts uint64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					core.Restore(start)
+					for {
+						_, out, err := core.StepN(quantum, recs)
+						if recs != nil {
+							recs = out[:0]
+						}
+						if err == ErrHalt {
+							break
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					insts += core.InstrCount()
+				}
+				b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "MIPS")
+				// The result is in a0.
+				if got := int64(core.Regs[RegA0]); got != c.Want {
+					b.Fatalf("%s(%v) = %d, want %d", c.Fn, c.Args, got, c.Want)
+				}
+			})
+		}
+	}
+}
+
 // TestDecodeCacheSequential verifies the sequential-PC fast path serves
 // exactly what a cold cache decodes, including across page boundaries.
 func TestDecodeCacheSequential(t *testing.T) {
@@ -263,13 +325,13 @@ func TestInvalidateBlocks(t *testing.T) {
 		var n int
 		n, _, ferr = fast.StepN(50, nil)
 		if rounds == 2 {
-			if len(fast.Dec.blocks) == 0 {
+			// Without a ResetChains every translated block has been
+			// entered exactly once, so Blocks counts the cache. What
+			// Invalidate leaves behind is checked in internal/isa.
+			if fast.Dec.ChainStats().Blocks == 0 {
 				t.Fatal("no blocks cached after 3 rounds")
 			}
 			fast.Dec.InvalidateBlocks()
-			if len(fast.Dec.blocks) != 0 || fast.Dec.mruB != nil {
-				t.Fatal("InvalidateBlocks left state behind")
-			}
 		}
 		for j := 0; j < n; j++ {
 			if _, rerr := ref.Step(nil); rerr != nil && rerr != ferr {
