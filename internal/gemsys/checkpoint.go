@@ -28,11 +28,15 @@ type ProcSnap struct {
 // switching from the boot CPU to the detailed CPU.
 type Checkpoint struct {
 	Arch string
-	// MemData is the guest memory image. It is immutable once taken:
-	// machines that restored the checkpoint remember it by id and later
-	// copy back only the pages they wrote since, so an image edited in
-	// place would not be restored faithfully.
-	MemData   []byte
+	// MemSize and Pages are the guest memory image: MemSize bytes, zero
+	// except for Pages, listed in ascending Index order. TakeCheckpoint
+	// lists exactly the non-zero pages, so equal memory gives an equal
+	// image. The image is immutable once taken: machines that restored
+	// the checkpoint remember it by id and later copy back only the pages
+	// they wrote since, so an image edited in place would not be restored
+	// faithfully.
+	MemSize   int
+	Pages     []MemPage
 	Procs     []ProcSnap
 	Chans     []kernel.ChanSnap
 	Seq       uint64
@@ -47,13 +51,18 @@ type Checkpoint struct {
 	// that executed it.
 	Console []byte
 
-	// id names MemData's image to the machines whose memory equals it
-	// (0: no name, as for a literal Checkpoint). nonZero holds one mark
-	// per isa.PageSize page of MemData, non-zero where the page may hold
-	// a non-zero byte; nil means unknown. Neither is serialized:
-	// ReadCheckpoint issues a fresh id and leaves nonZero unknown.
-	id      uint64
-	nonZero []byte
+	// id names the image to the machines whose memory equals it (0: no
+	// name, as for a literal Checkpoint). It is not serialized:
+	// ReadCheckpoint issues a fresh one.
+	id uint64
+}
+
+// MemPage is one isa.PageSize page of a checkpoint's memory image, the
+// bytes from Index<<isa.PageShift on. Only the last page of a memory
+// whose size is not a multiple of the page size is shorter.
+type MemPage struct {
+	Index int
+	Data  []byte
 }
 
 // imageIDs issues Checkpoint ids. A process-wide counter rather than a
@@ -69,7 +78,8 @@ var imageIDs atomic.Uint64
 func (ck *Checkpoint) Clone() *Checkpoint {
 	cp := &Checkpoint{
 		Arch:      ck.Arch,
-		MemData:   append([]byte(nil), ck.MemData...),
+		MemSize:   ck.MemSize,
+		Pages:     make([]MemPage, len(ck.Pages)),
 		Seq:       ck.Seq,
 		SlabCur:   ck.SlabCur,
 		VirtInstr: ck.VirtInstr,
@@ -77,7 +87,9 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 		NextRgn:   ck.NextRgn,
 		Console:   append([]byte(nil), ck.Console...),
 		id:        ck.id,
-		nonZero:   append([]byte(nil), ck.nonZero...),
+	}
+	for i, pg := range ck.Pages {
+		cp.Pages[i] = MemPage{pg.Index, append([]byte(nil), pg.Data...)}
 	}
 	cp.Procs = make([]ProcSnap, len(ck.Procs))
 	for i, ps := range ck.Procs {
@@ -102,19 +114,22 @@ func (ck *Checkpoint) Clone() *Checkpoint {
 func (m *Machine) TakeCheckpoint() *Checkpoint {
 	ck := &Checkpoint{
 		Arch:      string(m.Cfg.Arch),
-		MemData:   append([]byte(nil), m.Mem.Data...),
+		MemSize:   len(m.Mem.Data),
 		Chans:     m.K.SnapChannels(),
 		VirtInstr: m.virtInstr,
 		NextRgn:   m.nextRegion,
 		Console:   append([]byte(nil), m.K.Console.Bytes()...),
 		id:        imageIDs.Add(1),
 	}
-	// A page is zero unless the baseline may hold it non-zero or it was
-	// written since.
-	if m.memNonZero != nil {
-		ck.nonZero = make([]byte, len(m.Mem.Dirty))
-		for pg, d := range m.Mem.Dirty {
-			ck.nonZero[pg] = d | m.memNonZero[pg]
+	// A page is zero unless the baseline lists it or it was written
+	// since; those candidates are checked byte by byte.
+	m.markBaseline()
+	for pg, d := range m.Mem.Dirty {
+		if d == 0 {
+			continue
+		}
+		if data := m.page(pg); !bytes.Equal(data, zeroPage[:len(data)]) {
+			ck.Pages = append(ck.Pages, MemPage{pg, append([]byte(nil), data...)})
 		}
 	}
 	ck.Seq, ck.SlabCur = m.K.SnapState()
@@ -142,41 +157,61 @@ func (m *Machine) TakeCheckpoint() *Checkpoint {
 	return ck
 }
 
-// adoptImage records that guest memory now equals ck.MemData: ck becomes
+// adoptImage records that guest memory now equals ck's image: ck becomes
 // the baseline and every page is clean.
 func (m *Machine) adoptImage(ck *Checkpoint) {
 	m.memImage = ck.id
-	if ck.nonZero == nil {
-		m.memNonZero = nil
-	} else {
-		m.memNonZero = append(m.memNonZero[:0], ck.nonZero...)
+	m.memPages = m.memPages[:0]
+	for _, pg := range ck.Pages {
+		m.memPages = append(m.memPages, pg.Index)
 	}
 	m.Mem.ClearDirty()
 }
 
-// copyImage makes guest memory equal ck.MemData, copying only the pages
-// that can differ:
-//   - the pages written since the baseline, when the baseline is ck;
-//   - those plus every page the baseline or ck may hold non-zero, when
-//     both non-zero sets are known (a fresh machine's baseline is
-//     all-zero memory, whose set is empty);
-//   - every page otherwise.
+// markBaseline marks the baseline's pages dirty. With the pages written
+// since, they are every page that may differ from all-zero memory.
+func (m *Machine) markBaseline() {
+	for _, pg := range m.memPages {
+		m.Mem.Dirty[pg] = 1
+	}
+}
+
+// copyImage makes guest memory equal ck's image by copying ck's page, or
+// clearing the page, wherever memory can differ from it: on the pages
+// written since the baseline and, unless the baseline is ck, on the
+// baseline's and ck's pages too (a fresh machine's baseline is all-zero
+// memory, which lists none). Those pages are marked dirty, and ck.Pages
+// is walked alongside the scan of the marks.
 func (m *Machine) copyImage(ck *Checkpoint) {
-	same := ck.id != 0 && ck.id == m.memImage
-	if !same && (m.memNonZero == nil || ck.nonZero == nil) {
-		copy(m.Mem.Data, ck.MemData)
-		return
+	if ck.id == 0 || ck.id != m.memImage {
+		m.markBaseline()
+		for _, pg := range ck.Pages {
+			m.Mem.Dirty[pg.Index] = 1
+		}
 	}
+	img := ck.Pages
 	for pg, d := range m.Mem.Dirty {
-		if !same {
-			d |= m.memNonZero[pg] | ck.nonZero[pg]
+		if d == 0 {
+			continue
 		}
-		if d != 0 {
-			lo := pg << isa.PageShift
-			hi := min(lo+isa.PageSize, len(m.Mem.Data))
-			copy(m.Mem.Data[lo:hi], ck.MemData[lo:hi])
+		for len(img) > 0 && img[0].Index < pg {
+			img = img[1:]
+		}
+		if len(img) > 0 && img[0].Index == pg {
+			copy(m.page(pg), img[0].Data)
+		} else {
+			clear(m.page(pg))
 		}
 	}
+}
+
+// zeroPage is a page of zeros to compare guest pages against.
+var zeroPage [isa.PageSize]byte
+
+// page returns guest memory page pg.
+func (m *Machine) page(pg int) []byte {
+	lo := pg << isa.PageShift
+	return m.Mem.Data[lo:min(lo+isa.PageSize, len(m.Mem.Data))]
 }
 
 // checkRestorable reports why ck cannot be restored onto m. It checks
@@ -186,8 +221,21 @@ func (m *Machine) checkRestorable(ck *Checkpoint) (map[int]*kernel.Process, erro
 	if ck.Arch != string(m.Cfg.Arch) {
 		return nil, fmt.Errorf("gemsys: checkpoint arch %q does not match machine %q", ck.Arch, m.Cfg.Arch)
 	}
-	if len(ck.MemData) != len(m.Mem.Data) {
-		return nil, fmt.Errorf("gemsys: checkpoint memory size mismatch")
+	if ck.MemSize != len(m.Mem.Data) {
+		return nil, fmt.Errorf("gemsys: checkpoint memory size %d does not match machine %d", ck.MemSize, len(m.Mem.Data))
+	}
+	next := 0
+	for _, pg := range ck.Pages {
+		if pg.Index < 0 || pg.Index >= len(m.Mem.Dirty) {
+			return nil, fmt.Errorf("gemsys: checkpoint page %d is outside memory", pg.Index)
+		}
+		if pg.Index < next {
+			return nil, fmt.Errorf("gemsys: checkpoint page %d is out of order or repeated", pg.Index)
+		}
+		if want := len(m.page(pg.Index)); len(pg.Data) != want {
+			return nil, fmt.Errorf("gemsys: checkpoint page %d has %d bytes, want %d", pg.Index, len(pg.Data), want)
+		}
+		next = pg.Index + 1
 	}
 	if len(ck.Procs) != len(m.K.Procs) {
 		return nil, fmt.Errorf("gemsys: checkpoint has %d processes, machine has %d", len(ck.Procs), len(m.K.Procs))

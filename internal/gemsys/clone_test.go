@@ -70,9 +70,12 @@ func TestCloneIsolation(t *testing.T) {
 		}
 		p.Core.Restore(s)
 	}
-	for i := range clone1.MemData {
-		clone1.MemData[i] = 0xFF
+	for _, pg := range clone1.Pages {
+		for i := range pg.Data {
+			pg.Data[i] = 0xFF
+		}
 	}
+	clone1.Pages[0].Index++
 	for i := range clone1.Procs {
 		for j := range clone1.Procs[i].CoreState {
 			clone1.Procs[i].CoreState[j] = 0xDEAD

@@ -50,12 +50,11 @@ type Machine struct {
 
 	// The memory baseline: guest memory equalled the image of checkpoint
 	// id memImage (0: none) when its dirty marks were last cleared, and
-	// memNonZero marks the pages of that image that may be non-zero (nil:
-	// unknown). A fresh machine's baseline is all-zero memory: no id and
-	// no non-zero page. Restore uses the pair to copy only pages that can
-	// differ.
-	memImage   uint64
-	memNonZero []byte
+	// memPages lists that image's pages in ascending order. A fresh
+	// machine's baseline is all-zero memory: no id and no page. Restore
+	// uses the pair to copy only pages that can differ.
+	memImage uint64
+	memPages []int
 
 	// Functional-sprint state (see Machine.sprint). While sprinting,
 	// recording is off and there is no trace record to annotate, so the
@@ -162,7 +161,6 @@ func New(cfg Config) (*Machine, error) {
 		sprintCnt:   make([]isa.ClassCounts, cfg.Cores),
 		nextRegion:  firstProc,
 	}
-	m.memNonZero = make([]byte, len(m.Mem.Dirty))
 	m.K = kernel.New(m.Mem, slabBase, slabSize)
 	m.K.Clock = func() uint64 { return m.virtInstr }
 	m.K.OnWake = func(p *kernel.Process) { m.rq[p.CoreID] = append(m.rq[p.CoreID], p) }

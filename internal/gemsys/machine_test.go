@@ -143,23 +143,6 @@ func TestConsoleAndClock(t *testing.T) {
 	}
 }
 
-func TestRestoreValidation(t *testing.T) {
-	m, err := New(DefaultConfig(isa.RV64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck := m.TakeCheckpoint()
-	ck.Arch = "cisc64"
-	if err := m.Restore(ck); err == nil {
-		t.Fatal("arch mismatch accepted")
-	}
-	ck.Arch = "rv64"
-	ck.MemData = ck.MemData[:10]
-	if err := m.Restore(ck); err == nil {
-		t.Fatal("memory size mismatch accepted")
-	}
-}
-
 func TestSimulatedPanicSurfacesAsError(t *testing.T) {
 	m, err := New(DefaultConfig(isa.RV64))
 	if err != nil {

@@ -43,6 +43,41 @@ func BenchmarkRestore(b *testing.B) {
 	}
 }
 
+// ckSink receives each benchmarked checkpoint, so the compiler cannot
+// drop the call that makes it.
+var ckSink *Checkpoint
+
+// BenchmarkTakeCheckpoint times TakeCheckpoint of the fib client/server
+// pair's post-setup state and Clone of the checkpoint it takes, the copy
+// the boot cache hands each memoized run. Before each take the machine's
+// page marks and baseline are put back as RunSetup left them.
+func BenchmarkTakeCheckpoint(b *testing.B) {
+	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+		m := bootClientServer(b, arch, 1000)
+		if err := m.RunSetup(50_000_000); err != nil {
+			b.Fatal(err)
+		}
+		dirty := append([]byte(nil), m.Mem.Dirty...)
+		b.Run(string(arch)+"/take", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(m.Mem.Dirty, dirty)
+				m.memImage, m.memPages = 0, nil
+				b.StartTimer()
+				ckSink = m.TakeCheckpoint()
+			}
+		})
+		ck := m.TakeCheckpoint()
+		b.Run(string(arch)+"/clone", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ckSink = ck.Clone()
+			}
+		})
+	}
+}
+
 // BenchmarkRunEval times full-detail O3 replay: each iteration restores
 // the fib client/server pair's post-setup checkpoint with the timer
 // stopped and runs RunEval to the end. rec/s is the eval layer's rate in

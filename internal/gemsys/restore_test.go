@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,12 +47,21 @@ func roundTrip(t *testing.T, ck *Checkpoint) *Checkpoint {
 	return out
 }
 
+// image expands ck's memory image to MemSize bytes.
+func image(ck *Checkpoint) []byte {
+	mem := make([]byte, ck.MemSize)
+	for _, pg := range ck.Pages {
+		copy(mem[pg.Index<<isa.PageShift:], pg.Data)
+	}
+	return mem
+}
+
 // machineState renders everything Restore may change, for before/after
 // comparison; memory is compared separately.
 func machineState(m *Machine) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "image=%d nonzero=%x dirty=%x virt=%d rgn=%d console=%q\n",
-		m.memImage, m.memNonZero, m.Mem.Dirty, m.virtInstr, m.nextRegion, m.Console())
+	fmt.Fprintf(&b, "image=%d pages=%v dirty=%x virt=%d rgn=%d console=%q\n",
+		m.memImage, m.memPages, m.Mem.Dirty, m.virtInstr, m.nextRegion, m.Console())
 	for _, p := range m.K.Procs {
 		fmt.Fprintf(&b, "proc %d state=%v brk=%d wake=%d idle=%v core=%v\n",
 			p.ID, p.State, p.Brk, p.WakeSeq, p.NeedsIdle, p.Core.Snapshot())
@@ -78,15 +88,26 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := roundTrip(t, taken)
-	if len(probe.Procs) != 2 || len(probe.Chans) != 2 {
-		t.Fatalf("unexpected checkpoint shape: %d procs, %d channels", len(probe.Procs), len(probe.Chans))
+	if len(probe.Procs) != 2 || len(probe.Chans) != 2 || len(probe.Pages) < 2 {
+		t.Fatalf("unexpected checkpoint shape: %d procs, %d channels, %d pages",
+			len(probe.Procs), len(probe.Chans), len(probe.Pages))
 	}
 	for _, c := range []struct {
 		name string
 		edit func(ck *Checkpoint)
 	}{
 		{"arch", func(ck *Checkpoint) { ck.Arch = "cisc64" }},
-		{"memory size", func(ck *Checkpoint) { ck.MemData = ck.MemData[:10] }},
+		{"memory size", func(ck *Checkpoint) { ck.MemSize -= isa.PageSize }},
+		{"pages out of order", func(ck *Checkpoint) { ck.Pages[0], ck.Pages[1] = ck.Pages[1], ck.Pages[0] }},
+		{"repeated page", func(ck *Checkpoint) { ck.Pages = append(ck.Pages, ck.Pages[len(ck.Pages)-1]) }},
+		{"page past memory", func(ck *Checkpoint) {
+			ck.Pages = append(ck.Pages, MemPage{Index: 1 << 20, Data: make([]byte, isa.PageSize)})
+		}},
+		{"negative page", func(ck *Checkpoint) {
+			ck.Pages = append([]MemPage{{Index: -1, Data: make([]byte, isa.PageSize)}}, ck.Pages...)
+		}},
+		{"short page", func(ck *Checkpoint) { ck.Pages[1].Data = ck.Pages[1].Data[:100] }},
+		{"long page", func(ck *Checkpoint) { ck.Pages[1].Data = append(ck.Pages[1].Data, 1) }},
 		{"missing process", func(ck *Checkpoint) { ck.Procs = ck.Procs[:1] }},
 		{"unknown process", func(ck *Checkpoint) { ck.Procs[1].ID = 77 }},
 		{"duplicate process", func(ck *Checkpoint) { ck.Procs[1].ID = ck.Procs[0].ID }},
@@ -143,9 +164,11 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 
 // TestRestoreEquivalence is the dirty-page restore's property test: over
 // random sequences of checkpoint takes, guest execution, writes anywhere
-// in free memory, and restores of every kind — the same checkpoint, another
-// one, into a fresh machine, from a Clone, from the on-disk format — guest
-// memory equals the restored checkpoint's image after every restore.
+// in free memory (zeros over earlier writes included, so pages go back to
+// all-zero), and restores of every kind — the same checkpoint, another
+// one, into a fresh machine, from a Clone, from the on-disk format — every
+// take lists exactly the non-zero pages, and guest memory equals the
+// restored checkpoint's image after every restore.
 func TestRestoreEquivalence(t *testing.T) {
 	seeds, steps := 6, 60
 	if testing.Short() {
@@ -167,16 +190,36 @@ func restoreSequence(t *testing.T, arch isa.Arch, rng *rand.Rand, steps int) {
 	if err := m.RunSetup(50_000_000); err != nil {
 		t.Fatal(err)
 	}
-	pool := []*Checkpoint{m.TakeCheckpoint()}
+	var log []string
+	zero := make([]byte, isa.PageSize)
+	take := func() *Checkpoint {
+		ck := m.TakeCheckpoint()
+		var want, got []int
+		for lo := 0; lo < len(m.Mem.Data); lo += isa.PageSize {
+			if data := m.Mem.Data[lo:min(lo+isa.PageSize, len(m.Mem.Data))]; !bytes.Equal(data, zero[:len(data)]) {
+				want = append(want, lo>>isa.PageShift)
+			}
+		}
+		for _, p := range ck.Pages {
+			got = append(got, p.Index)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: image lists pages %v, non-zero pages are %v", log, got, want)
+		}
+		if !bytes.Equal(image(ck), m.Mem.Data) {
+			t.Fatalf("%v: image differs from guest memory", log)
+		}
+		return ck
+	}
+	pool := []*Checkpoint{take()}
 	pick := func() *Checkpoint { return pool[rng.Intn(len(pool))] }
 	var last *Checkpoint
-	var log []string
 	restore := func(op string, ck *Checkpoint) {
 		log = append(log, op)
 		if err := m.Restore(ck); err != nil {
 			t.Fatalf("%v: %v", log, err)
 		}
-		if !bytes.Equal(m.Mem.Data, ck.MemData) {
+		if !bytes.Equal(m.Mem.Data, image(ck)) {
 			t.Fatalf("%v: guest memory differs from the restored checkpoint", log)
 		}
 		last = ck
@@ -185,11 +228,13 @@ func restoreSequence(t *testing.T, arch isa.Arch, rng *rand.Rand, steps int) {
 	// Free memory: above every process region, untouched by the guests,
 	// so arbitrary writes there never disturb execution.
 	free := m.nextRegion
+	type span struct{ addr, n uint64 }
+	var written []span
 	for i := 0; i < steps; i++ {
 		switch op := rng.Intn(8); op {
 		case 0:
 			log = append(log, "take")
-			pool = append(pool, m.TakeCheckpoint())
+			pool = append(pool, take())
 			last = pool[len(pool)-1]
 		case 1:
 			log = append(log, "run")
@@ -199,17 +244,26 @@ func restoreSequence(t *testing.T, arch isa.Arch, rng *rand.Rand, steps int) {
 		case 2:
 			log = append(log, "write")
 			for n := rng.Intn(4) + 1; n > 0; n-- {
+				if len(written) > 0 && rng.Intn(3) == 0 {
+					w := written[rng.Intn(len(written))]
+					clear(m.Mem.Bytes(w.addr, w.n))
+					continue
+				}
 				addr := free + uint64(rng.Int63n(int64(uint64(len(m.Mem.Data))-free-16)))
 				switch rng.Intn(3) {
 				case 0:
 					m.Mem.Store64(addr, rng.Uint64()|1)
+					written = append(written, span{addr, 8})
 				case 1:
-					m.Mem.Store(addr, uint8(rng.Intn(8)+1), rng.Uint64()|1)
+					sz := uint8(rng.Intn(8) + 1)
+					m.Mem.Store(addr, sz, rng.Uint64()|1)
+					written = append(written, span{addr, uint64(sz)})
 				default:
 					b := m.Mem.Bytes(addr, uint64(rng.Intn(16)+1))
 					for j := range b {
 						b[j] = byte(rng.Intn(255) + 1)
 					}
+					written = append(written, span{addr, uint64(len(b))})
 				}
 			}
 		case 3:

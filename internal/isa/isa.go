@@ -152,8 +152,8 @@ const PageSize = 1 << PageShift
 // Every write goes through the accessors below (Store, Store8..Store64,
 // Bytes), which set the dirty mark of each page they touch. Outside this
 // package, guest memory is written only through them: a write straight
-// into Data escapes the marks, and checkpoint restore (which copies only
-// marked pages) would then leave it in place.
+// into Data escapes the marks, and checkpoint take and restore (which
+// look only at marked pages and the last image's pages) would miss it.
 type Mem struct {
 	Data []byte
 	// Dirty holds one mark per PageSize page of Data, non-zero once the

@@ -21,6 +21,15 @@ func specByName(t *testing.T, name string) harness.Spec {
 	return harness.Spec{}
 }
 
+// image expands ck's memory image to MemSize bytes.
+func image(ck *gemsys.Checkpoint) []byte {
+	mem := make([]byte, ck.MemSize)
+	for _, pg := range ck.Pages {
+		copy(mem[pg.Index<<isa.PageShift:], pg.Data)
+	}
+	return mem
+}
+
 // testConfig is the acceptance-criteria load point: fibonacci-go on rv64,
 // 200 rps over a 50 ms window, seed 7.
 func testConfig(t *testing.T) Config {
@@ -498,6 +507,7 @@ func TestAcquiredMemoryEqualsMaster(t *testing.T) {
 			if !f.Memoizable() {
 				t.Fatal("fibonacci-go fleet is not memoizable")
 			}
+			master := image(f.masterCk)
 			inv := 0
 			for round := 0; round < 3; round++ {
 				var insts []*Instance
@@ -506,7 +516,7 @@ func TestAcquiredMemoryEqualsMaster(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(inst.b.M.Mem.Data, f.masterCk.MemData) {
+					if !bytes.Equal(inst.b.M.Mem.Data, master) {
 						t.Fatalf("round %d: instance %d memory differs from the master checkpoint", round, inst.ID)
 					}
 					insts = append(insts, inst)
