@@ -28,6 +28,7 @@ package autoscale
 
 import (
 	"fmt"
+	"math"
 
 	"svbench/internal/gemsys"
 	"svbench/internal/harness"
@@ -288,8 +289,9 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Spec.Build == nil || cfg.Spec.Request == nil {
 		return nil, fmt.Errorf("autoscale: config has no function spec")
 	}
-	if cfg.RPS <= 0 {
-		return nil, fmt.Errorf("autoscale: RPS must be positive, got %g", cfg.RPS)
+	// NaN fails every comparison, so test for the valid range.
+	if !(cfg.RPS > 0) || math.IsInf(cfg.RPS, 1) {
+		return nil, fmt.Errorf("autoscale: RPS must be positive and finite, got %g", cfg.RPS)
 	}
 	if cfg.Duration == 0 {
 		return nil, fmt.Errorf("autoscale: duration must be positive")

@@ -2,6 +2,8 @@ package autoscale
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"svbench/internal/gemsys"
@@ -293,6 +295,16 @@ func TestDeterminismAcrossJobsAndMemo(t *testing.T) {
 		}
 		if seq[i].Table() != solo[i].Table() || seq[i].StatsText != solo[i].StatsText {
 			t.Fatalf("point %d: memoized sweep differs from cold solo run", i)
+		}
+	}
+}
+
+func TestRunRejectsBadRPS(t *testing.T) {
+	for _, rps := range []float64{0, math.NaN(), math.Inf(1)} {
+		cfg := testConfig(t)
+		cfg.RPS = rps
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "RPS") {
+			t.Errorf("RPS %g: err = %v, want an RPS error", rps, err)
 		}
 	}
 }

@@ -195,8 +195,9 @@ func NewFabric(cfg Config) (*Fabric, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("cluster: Requests must be positive")
 	}
-	if cfg.RPS <= 0 {
-		return nil, fmt.Errorf("cluster: RPS must be positive")
+	// NaN fails every comparison, so test for the valid range.
+	if !(cfg.RPS > 0) || math.IsInf(cfg.RPS, 1) {
+		return nil, fmt.Errorf("cluster: RPS must be positive and finite, got %g", cfg.RPS)
 	}
 	f := &Fabric{
 		cfg:       cfg,

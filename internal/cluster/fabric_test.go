@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -232,6 +233,16 @@ func TestValidateRejectsBadTopologies(t *testing.T) {
 	for _, tp := range Topologies() {
 		if err := tp.Validate(); err != nil {
 			t.Errorf("shipped topology %s invalid: %v", tp.Name, err)
+		}
+	}
+}
+
+func TestRunRejectsBadRPS(t *testing.T) {
+	for _, rps := range []float64{0, math.NaN(), math.Inf(1)} {
+		cfg := testConfig(miniTopology(), 1)
+		cfg.RPS = rps
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "RPS") {
+			t.Errorf("RPS %g: err = %v, want an RPS error", rps, err)
 		}
 	}
 }

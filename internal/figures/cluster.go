@@ -13,12 +13,12 @@ import (
 // sequential; the worker pool parallelizes across (topology, arch)
 // points, and the projected Data is identical for every jobs value.
 
-// ClusterRequests and ClusterRPS are the load the figure drives through
+// clusterRequests and clusterRPS are the load the figure drives through
 // each topology: enough requests for stable tail percentiles at a rate
 // that keeps the service graphs busy without saturating them.
 const (
-	ClusterRequests = 20
-	ClusterRPS      = 2000
+	clusterRequests = 20
+	clusterRPS      = 2000
 )
 
 // TableCluster runs every shipped topology on each arch and projects
@@ -31,8 +31,8 @@ func TableCluster(arches []isa.Arch, seed uint64, jobs int, log func(string)) (D
 			cfgs = append(cfgs, cluster.Config{
 				Topology: top,
 				Arch:     arch,
-				Requests: ClusterRequests,
-				RPS:      ClusterRPS,
+				Requests: clusterRequests,
+				RPS:      clusterRPS,
 				Seed:     seed,
 			})
 		}
@@ -44,7 +44,7 @@ func TableCluster(arches []isa.Arch, seed uint64, jobs int, log func(string)) (D
 	d := Data{
 		ID: "table-cluster",
 		Title: fmt.Sprintf("Cluster topologies × arch: e2e latency, %d req @ %.0f rps (seed %d)",
-			ClusterRequests, float64(ClusterRPS), seed),
+			clusterRequests, float64(clusterRPS), seed),
 		Columns: []string{"machines", "p50 us", "p95 us", "p99 us",
 			"net msgs", "net KB", "insts M"},
 	}

@@ -77,9 +77,9 @@ type Machine struct {
 
 	// SingleStep forces the per-instruction reference interpreter instead
 	// of the batched block-execution fast path. The two are bit-identical
-	// (pinned by the differential tests); the knob exists for those tests
-	// and for interpreter benchmarking. Deliberately not part of Config so
-	// it never enters the boot fingerprint.
+	// (pinned by the differential tests); the knob exists for those
+	// tests. Deliberately not part of Config so it never enters the boot
+	// fingerprint.
 	SingleStep bool
 
 	kernelProg *isa.Program
@@ -480,8 +480,7 @@ func (m *Machine) stepQuantum(ci int) (bool, error) {
 }
 
 // stepQuantumSlow is the per-instruction reference scheduler loop, kept
-// verbatim as the differential baseline for the fast path above (and as
-// the fast-path-off mode of cmd/interpbench).
+// verbatim as the differential baseline for the fast path above.
 func (m *Machine) stepQuantumSlow(ci int) (bool, error) {
 	p := m.pickNext(ci)
 	if p == nil {
@@ -1149,38 +1148,6 @@ func (m *Machine) RunFunctional(budget uint64) (err error) {
 		}
 	}
 	return m.panicErr()
-}
-
-// MeasureFunctional drives the functional engine to completion (halt) in
-// the requested recording mode, discarding any produced trace after every
-// scheduling round so memory stays flat — no timing model consumes it.
-// It returns the number of virtual instructions executed. This is the
-// interpreter-benchmark entry point (cmd/interpbench): it exercises
-// exactly the hot loop of setup mode (record=false) or of the functional
-// side of eval mode (record=true) without the replay machinery.
-func (m *Machine) MeasureFunctional(budget uint64, record bool) (_ uint64, err error) {
-	defer m.recoverMemFault(&err)
-	m.recording = record
-	start := m.virtInstr
-	for !m.halted {
-		ran, err := m.pump()
-		if record {
-			for ci := range m.traces {
-				m.traces[ci] = m.traces[ci][:0]
-				m.cursor[ci] = 0
-			}
-		}
-		if err != nil {
-			return m.virtInstr - start, err
-		}
-		if !ran {
-			return m.virtInstr - start, fmt.Errorf("%w (measure)", ErrDeadlock)
-		}
-		if m.virtInstr-start > budget {
-			return m.virtInstr - start, fmt.Errorf("gemsys: functional run exceeded %d instructions", budget)
-		}
-	}
-	return m.virtInstr - start, m.panicErr()
 }
 
 // ErrKVMUnstable reports that the KVM-accelerated setup tripped the

@@ -31,8 +31,8 @@ type SamplingConfig struct {
 	Detail   uint64 // D: detailed-measured records per period
 }
 
-// DefaultSamplingConfig returns the tuned default used by samplebench and
-// the figures sampling table.
+// DefaultSamplingConfig returns the tuned default used by the figures
+// sampling table and perfbench's sampled-eval workload.
 func DefaultSamplingConfig() SamplingConfig {
 	return SamplingConfig{Interval: 50_000, Warmup: 4_000, Detail: 2_000}
 }

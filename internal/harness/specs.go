@@ -87,9 +87,9 @@ func FibMod64(n int) uint64 {
 // ScaledFibSpec returns a fibonacci Spec with an explicit iteration count.
 // The default catalog entry runs fib(30) — a few thousand instructions per
 // request, far below one SMARTS sampling interval. The sampling studies
-// (samplebench, the figures sampling table) scale n up so each stats
-// window spans many intervals, which is the regime sampled simulation is
-// designed for.
+// (figures.SamplingSpecs: the figures sampling table, perfbench's
+// sampled-eval) scale n up so each stats window spans many intervals,
+// which is the regime sampled simulation is designed for.
 func ScaledFibSpec(rt langrt.Runtime, n int) Spec {
 	want := FibMod64(n)
 	return Spec{

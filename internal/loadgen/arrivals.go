@@ -46,7 +46,7 @@ func Arrivals(cfg Config) []uint64 { return genArrivals(cfg) }
 // root of the engine's determinism guarantee — replaying it against the
 // same pool policy reproduces every queueing decision bit-for-bit.
 func genArrivals(cfg Config) []uint64 {
-	if cfg.RPS <= 0 || cfg.Duration == 0 {
+	if !(cfg.RPS > 0) || math.IsInf(cfg.RPS, 1) || cfg.Duration == 0 {
 		return nil
 	}
 	rng := faults.NewPRNG(cfg.Seed)

@@ -23,6 +23,7 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
 
 	"svbench/internal/faults"
 	"svbench/internal/gemsys"
@@ -212,8 +213,9 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Spec.Build == nil || cfg.Spec.Request == nil {
 		return nil, fmt.Errorf("loadgen: config has no function spec")
 	}
-	if cfg.RPS <= 0 {
-		return nil, fmt.Errorf("loadgen: RPS must be positive, got %g", cfg.RPS)
+	// NaN fails every comparison, so test for the valid range.
+	if !(cfg.RPS > 0) || math.IsInf(cfg.RPS, 1) {
+		return nil, fmt.Errorf("loadgen: RPS must be positive and finite, got %g", cfg.RPS)
 	}
 	if cfg.Duration == 0 {
 		return nil, fmt.Errorf("loadgen: duration must be positive")

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"svbench/internal/faults"
@@ -92,12 +94,14 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
-	cfg := testConfig(t)
-	cfg.RPS = 0
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero RPS accepted")
+	for _, rps := range []float64{0, math.NaN(), math.Inf(1)} {
+		cfg := testConfig(t)
+		cfg.RPS = rps
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "RPS") {
+			t.Fatalf("RPS %g: err = %v, want an RPS error", rps, err)
+		}
 	}
-	cfg = testConfig(t)
+	cfg := testConfig(t)
 	cfg.Duration = 0
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("zero duration accepted")

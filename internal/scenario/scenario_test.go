@@ -157,21 +157,26 @@ func TestRetryStorm(t *testing.T) {
 	}
 }
 
-// TestCatalogRunsAndPasses runs every library scenario once: all complete
-// and all meet their calibrated SLOs on the reference function/arch/seed.
+// TestCatalogRunsAndPasses runs every library scenario once on each ISA:
+// all complete and all meet their calibrated SLOs on the reference
+// function and seed.
 func TestCatalogRunsAndPasses(t *testing.T) {
 	var cfgs []Config
 	for _, s := range Catalog() {
-		cfgs = append(cfgs, testConfig(t, s))
+		for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+			cfg := testConfig(t, s)
+			cfg.Cfg = gemsys.DefaultConfig(arch)
+			cfgs = append(cfgs, cfg)
+		}
 	}
 	results, errs := RunMany(cfgs, 0)
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("%s: %v", cfgs[i].Scenario.Name, err)
+			t.Fatalf("%s/%s: %v", cfgs[i].Scenario.Name, cfgs[i].Cfg.Arch, err)
 		}
 	}
 	for i, res := range results {
-		name := cfgs[i].Scenario.Name
+		name := cfgs[i].Scenario.Name + "/" + string(cfgs[i].Cfg.Arch)
 		if !res.SLOPass {
 			t.Errorf("%s: calibrated SLO failed:\n%s", name, res.Table())
 		}

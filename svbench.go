@@ -214,8 +214,8 @@ type SweepOpts = figures.SweepOpts
 // unless opt.DisableMemo is set.
 func CollectFiguresWith(opt SweepOpts) (*Results, error) { return figures.CollectWith(opt) }
 
-// DefaultSamplingConfig returns the tuned sampling default used by
-// cmd/samplebench and the figures sampling table.
+// DefaultSamplingConfig returns the tuned sampling default used by the
+// figures sampling table and perfbench's sampled-eval workload.
 func DefaultSamplingConfig() SamplingConfig { return gemsys.DefaultSamplingConfig() }
 
 // ParseSamplingConfig parses "uU-wW-dD" or "U,W,D" into a validated
