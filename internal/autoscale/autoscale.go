@@ -17,19 +17,17 @@
 // lapsed.
 //
 // Determinism is the same contract as loadgen and sweep: one run is a
-// sequential DES whose every decision is a pure function of (config,
-// seed). The event order at equal timestamps is completion, then
-// instance-ready, then reconcile tick, then arrival — a freeing or
-// booting instance can absorb work at the same instant, and the
-// autoscaler observes the cluster before a same-tick arrival lands.
-// RunMany parallelizes only across sweep points, so policy × RPS grids
-// are byte-identical for any worker count. See docs/autoscale.md.
+// sequential DES over internal/des's event queue whose every decision is
+// a pure function of (config, seed). RunMany parallelizes only across
+// sweep points, so policy × RPS grids are byte-identical for any worker
+// count. See docs/autoscale.md.
 package autoscale
 
 import (
 	"fmt"
 	"math"
 
+	"svbench/internal/des"
 	"svbench/internal/gemsys"
 	"svbench/internal/harness"
 	"svbench/internal/loadgen"
@@ -181,6 +179,14 @@ func (c Config) ScalePolicy() Policy {
 	return c.Policy
 }
 
+// Input caps, the same as loadgen's (docs/loadgen.md "Determinism") with
+// one attempt per arrival: no event time wraps, and the arrival stream
+// and the trace ring sized from it fit in memory.
+const (
+	maxTimeNS   = 1 << 50
+	maxArrivals = 1 << 20
+)
+
 // node is one simulated worker's finite resources plus its lifetime
 // accounting.
 type node struct {
@@ -226,16 +232,34 @@ const (
 	stBusy
 )
 
-// slot is one live instance's scheduling state.
+// slot is one live instance's scheduling state. A starting slot has
+// exactly one pending ready event and a busy slot exactly one pending
+// completion; only idle slots are ever removed, so no event is cancelled.
 type slot struct {
 	inst      *loadgen.Instance
 	node      int
 	state     int
-	readyAt   uint64 // starting: when the boot penalty has elapsed
 	idleSince uint64 // idle: when it last went idle
-	inv       int    // busy: invocation being served
-	done      uint64 // busy: when the instance frees
 	served    uint64 // invocations this slot has served
+}
+
+// Event classes, in the order events at the same instant run:
+// completions, then instance-ready (a freeing or booted instance can
+// absorb work at the same instant), then the reconcile tick (the
+// autoscaler observes the cluster before a same-instant arrival lands),
+// then arrivals. The ids are the invocation, the instance, 0 and the
+// arrival index.
+const (
+	evCompletion = iota
+	evReady
+	evTick
+	evArrival
+)
+
+// event is one pending event: s is the completing or readied slot.
+type event struct {
+	class, id int
+	s         *slot
 }
 
 type engine struct {
@@ -256,8 +280,8 @@ type engine struct {
 	arrives []uint64
 	invs    []Invocation
 	queue   []int // invocation ids, FIFO
+	events  des.Queue[event]
 
-	tickIdx uint64
 	inPanic bool
 
 	// Counters registered into the stats registry.
@@ -295,6 +319,16 @@ func Run(cfg Config) (*Report, error) {
 	}
 	if cfg.Duration == 0 {
 		return nil, fmt.Errorf("autoscale: duration must be positive")
+	}
+	if cfg.Duration > maxTimeNS {
+		return nil, fmt.Errorf("autoscale: Duration %d ns exceeds the cap of %d ns", cfg.Duration, uint64(maxTimeNS))
+	}
+	if cfg.TickNS > maxTimeNS {
+		return nil, fmt.Errorf("autoscale: TickNS %d ns exceeds the cap of %d ns", cfg.TickNS, uint64(maxTimeNS))
+	}
+	if n := cfg.RPS * float64(cfg.Duration) / 1e9; n > maxArrivals {
+		return nil, fmt.Errorf("autoscale: RPS %g over Duration %d ns expects %.0f arrivals, above the cap of %d",
+			cfg.RPS, cfg.Duration, n, maxArrivals)
 	}
 	if cfg.Nodes < 0 || cfg.NodeCores < 0 || cfg.NodeMemMB < 0 || cfg.InstMemMB < 0 {
 		return nil, fmt.Errorf("autoscale: cluster dimensions must be >= 0")
@@ -396,66 +430,49 @@ func (e *engine) counts() (starting, idle, busy int) {
 	return
 }
 
-// simulate runs the discrete-event loop. The tie-break at equal
-// timestamps is completions first (a freeing instance can absorb work at
-// the same instant), then instance-ready (a booted instance can too),
-// then reconcile ticks (the autoscaler observes the cluster before a
-// same-instant arrival lands), then arrivals.
+// push schedules ev at time at.
+func (e *engine) push(at uint64, ev event) { e.events.Push(at, ev.class, ev.id, ev) }
+
+// simulate runs the discrete-event loop over the event queue. The tick
+// reschedules itself and each arrival schedules the next; the run ends
+// when the tick is the only pending event and the FIFO is empty.
 func (e *engine) simulate() error {
-	next := 0
+	e.push(0, event{class: evTick})
+	if len(e.arrives) > 0 {
+		e.push(e.arrives[0], event{class: evArrival})
+	}
 	for {
-		starting, _, busy := e.counts()
-		if next >= len(e.arrives) && starting == 0 && busy == 0 && len(e.queue) == 0 {
-			return nil
+		now, ev := e.events.Pop()
+		var err error
+		switch ev.class {
+		case evCompletion:
+			err = e.complete(ev.s, ev.id, now)
+		case evReady:
+			err = e.ready(ev.s, now)
+		case evTick:
+			if e.events.Len() == 0 && len(e.queue) == 0 {
+				return nil
+			}
+			e.push(now+e.tick, ev)
+			err = e.reconcile(now)
+		case evArrival:
+			err = e.arrive(ev.id, now)
 		}
-		inf := ^uint64(0)
-		ct, rt, at := inf, inf, inf
-		ci, ri := -1, -1
-		for i, s := range e.slots {
-			switch s.state {
-			case stBusy:
-				if ci < 0 || s.done < ct || (s.done == ct && s.inv < e.slots[ci].inv) {
-					ci, ct = i, s.done
-				}
-			case stStarting:
-				if ri < 0 || s.readyAt < rt || (s.readyAt == rt && s.inst.ID < e.slots[ri].inst.ID) {
-					ri, rt = i, s.readyAt
-				}
-			}
-		}
-		tt := e.tickIdx * e.tick
-		if next < len(e.arrives) {
-			at = e.arrives[next]
-		}
-		switch {
-		case ci >= 0 && ct <= rt && ct <= tt && ct <= at:
-			if err := e.complete(e.slots[ci], ct); err != nil {
-				return err
-			}
-		case ri >= 0 && rt <= tt && rt <= at:
-			if err := e.ready(e.slots[ri], rt); err != nil {
-				return err
-			}
-		case tt <= at:
-			e.tickIdx++
-			if err := e.reconcile(tt); err != nil {
-				return err
-			}
-		default:
-			id := next
-			next++
-			if err := e.arrive(id, at); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// arrive admits one invocation: served immediately on a warm instance
-// when one is idle, otherwise queued FIFO — and if nothing is live or
-// booting, the queued arrival kicks an immediate reconcile (the
-// activator path that wakes a scaled-to-zero fleet).
+// arrive admits one invocation and schedules the next arrival: it is
+// served immediately on a warm instance when one is idle, otherwise
+// queued FIFO — and if nothing is live or booting, the queued arrival
+// kicks an immediate reconcile (the activator path that wakes a
+// scaled-to-zero fleet).
 func (e *engine) arrive(id int, now uint64) error {
+	if next := id + 1; next < len(e.arrives) {
+		e.push(e.arrives[next], event{class: evArrival, id: next})
+	}
 	e.invs[id].ID = id
 	e.invs[id].Arrive = now
 	e.tracer.EmitAt(trace.EvInvokeArrive, 0, now, 0, uint64(id), 0)
@@ -514,33 +531,25 @@ func (e *engine) serve(s *slot, id int, now uint64) error {
 	}
 	s.served++
 	s.state = stBusy
-	s.inv = id
-	s.done = now + svc
+	e.push(now+svc, event{class: evCompletion, id: id, s: s})
 	e.nodes[s.node].busyNS += svc
 	e.tracer.EmitAt(trace.EvInvokeRun, uint8(s.inst.ID), now, 0, uint64(id), svc)
 	return nil
 }
 
-// complete retires one invocation: the instance idles from the
-// completion instant and immediately absorbs the queue head, if any.
-func (e *engine) complete(s *slot, now uint64) error {
-	iv := &e.invs[s.inv]
+// complete retires invocation id: its instance idles from the completion
+// instant and immediately absorbs the queue head, if any.
+func (e *engine) complete(s *slot, id int, now uint64) error {
+	iv := &e.invs[id]
 	iv.Done = now
 	iv.Latency = now - iv.Arrive
 	e.observe(iv)
 	e.tracer.EmitAt(trace.EvInvokeDone, 0, now, 0, uint64(iv.ID), iv.Latency)
-	s.state = stIdle
-	s.idleSince = now
-	if len(e.queue) > 0 {
-		id := e.queue[0]
-		e.queue = e.queue[1:]
-		return e.serve(s, id, now)
-	}
-	return nil
+	return e.ready(s, now)
 }
 
-// ready transitions a booted instance to idle and immediately absorbs
-// the queue head, if any.
+// ready transitions a booted or freed instance to idle and immediately
+// absorbs the queue head, if any.
 func (e *engine) ready(s *slot, now uint64) error {
 	s.state = stIdle
 	s.idleSince = now
@@ -629,8 +638,9 @@ func (e *engine) scaleUp(n int, now uint64) error {
 		e.nodes[nd].usedCores++
 		e.nodes[nd].usedMemMB += e.cfg.MemPerInstance()
 		e.nodes[nd].placed++
-		s := &slot{inst: inst, node: nd, state: stStarting, readyAt: now + inst.Penalty}
+		s := &slot{inst: inst, node: nd, state: stStarting}
 		e.slots = append(e.slots, s)
+		e.push(now+inst.Penalty, event{class: evReady, id: inst.ID, s: s})
 		e.scaleUps++
 		e.live++
 		if e.live > e.peak {

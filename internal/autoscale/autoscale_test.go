@@ -307,6 +307,24 @@ func TestRunRejectsBadRPS(t *testing.T) {
 			t.Errorf("RPS %g: err = %v, want an RPS error", rps, err)
 		}
 	}
+	// Configs beyond the input caps: a time that would wrap the event
+	// clock, or an arrival stream too large to keep in memory.
+	for _, tc := range []struct {
+		field string
+		mod   func(*Config)
+	}{
+		{"Duration", func(c *Config) { c.Duration, c.TickNS, c.RPS = 1<<51, 1<<50, 1e-6 }},
+		{"TickNS", func(c *Config) { c.TickNS = 1 << 62 }},
+		{"arrivals", func(c *Config) { c.RPS = 1e12 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := testConfig(t)
+			tc.mod(&cfg)
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("err = %v, want an error naming %s", err, tc.field)
+			}
+		})
+	}
 }
 
 // TestConfigDefaults pins the zero-value resolution every renderer and

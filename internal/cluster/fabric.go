@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strings"
 
 	"svbench/internal/db"
+	"svbench/internal/des"
 	"svbench/internal/faults"
 	"svbench/internal/gemsys"
 	"svbench/internal/ir"
@@ -57,10 +57,10 @@ const (
 	evResume                // a machine's expired quantum continues
 )
 
-// event is one entry of the global DES queue. Ties on `at` break by
-// insertion sequence, making pop order fully deterministic.
+// event is one entry of the global DES queue. Every event is pushed with
+// one class and id, so ties on time break by push order, making pop
+// order fully deterministic.
 type event struct {
-	at, seq uint64
 	kind    evKind
 	src     int // sending node; -1 = client
 	dst     int // destination node; -1 = client
@@ -70,26 +70,6 @@ type event struct {
 	payload []byte
 	msgID   uint64
 	netNS   uint64 // queue + tx + latency the message spent in flight
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
 }
 
 // dep is one resolved remote dependency of a node: the target node and
@@ -151,8 +131,7 @@ type Fabric struct {
 	links     map[linkKey]*linkState
 	overrides map[linkKey]Link
 
-	events eventHeap
-	evSeq  uint64
+	events des.Queue[event]
 	msgSeq uint64
 
 	arrivals []uint64
@@ -383,17 +362,13 @@ func genArrivals(n int, rps float64, seed uint64) []uint64 {
 	t := 0.0
 	out := make([]uint64, n)
 	for i := range out {
-		t += -math.Log(1-rng.Float64()) * mean
+		t += rng.Exp(mean)
 		out[i] = uint64(t)
 	}
 	return out
 }
 
-func (f *Fabric) push(ev *event) {
-	ev.seq = f.evSeq
-	f.evSeq++
-	heap.Push(&f.events, ev)
-}
+func (f *Fabric) push(at uint64, ev event) { f.events.Push(at, 0, 0, ev) }
 
 func (f *Fabric) endpointName(i int) string {
 	if i < 0 {
@@ -442,8 +417,8 @@ func (f *Fabric) send(src, dst, ch, respTo, reqID int, payload []byte, t, extraD
 	fmt.Fprintf(&f.log, "%d send %s->%s msg=%d bytes=%d q=%d\n",
 		t, f.endpointName(src), f.endpointName(dst), id, len(payload), start-t)
 	f.tracer.EmitAt(trace.EvNetSend, coreByte(src), t, 0, id, uint64(len(payload)))
-	f.push(&event{
-		at: t + netNS, kind: evDeliver, src: src, dst: dst, ch: ch,
+	f.push(t+netNS, event{
+		kind: evDeliver, src: src, dst: dst, ch: ch,
 		respTo: respTo, reqID: reqID, payload: payload, msgID: id, netNS: netNS,
 	})
 }
@@ -460,22 +435,22 @@ func coreByte(endpoint int) uint8 {
 func (f *Fabric) Run() (*Report, error) {
 	budget := uint64(runBudgetBase) + uint64(runBudgetPerReq)*uint64(f.cfg.Requests)
 	for i, at := range f.arrivals {
-		f.push(&event{at: at, kind: evArrive, src: -1, dst: f.frontend, reqID: i, respTo: -1})
+		f.push(at, event{kind: evArrive, src: -1, dst: f.frontend, reqID: i, respTo: -1})
 	}
 	for f.events.Len() > 0 {
-		ev := heap.Pop(&f.events).(*event)
+		at, ev := f.events.Pop()
 		var err error
 		switch ev.kind {
 		case evArrive:
-			f.started[ev.reqID] = ev.at
-			fmt.Fprintf(&f.log, "%d arrive req=%d\n", ev.at, ev.reqID)
-			f.tracer.EmitAt(trace.EvClusterArrive, 255, ev.at, 0, uint64(ev.reqID), 0)
+			f.started[ev.reqID] = at
+			fmt.Fprintf(&f.log, "%d arrive req=%d\n", at, ev.reqID)
+			f.tracer.EmitAt(trace.EvClusterArrive, 255, at, 0, uint64(ev.reqID), 0)
 			f.send(-1, f.frontend, f.nodes[f.frontend].ingress, -1, ev.reqID,
-				append([]byte(nil), f.top.Request...), ev.at, 0)
+				append([]byte(nil), f.top.Request...), at, 0)
 		case evDeliver:
-			err = f.deliver(ev)
+			err = f.deliver(ev, at)
 		case evResume:
-			err = f.runNode(f.nodes[ev.dst], ev.at, true)
+			err = f.runNode(f.nodes[ev.dst], at, true)
 		}
 		if err != nil {
 			return nil, err
@@ -491,35 +466,35 @@ func (f *Fabric) Run() (*Report, error) {
 	return f.report(), nil
 }
 
-// deliver hands a message to its destination. A reply reaching the
+// deliver hands a message to its destination at time at. A reply to the
 // client completes its request; a message into a node is injected into
 // the destination channel (recording the caller for ingress requests)
 // and the node runs unless it is parked on an expired quantum.
-func (f *Fabric) deliver(ev *event) error {
+func (f *Fabric) deliver(ev event, at uint64) error {
 	if ev.dst < 0 {
-		lat := ev.at - f.started[ev.reqID]
+		lat := at - f.started[ev.reqID]
 		f.lats[ev.reqID] = lat
 		f.done++
 		f.nDone++
 		f.latD.Observe(lat)
-		fmt.Fprintf(&f.log, "%d done req=%d lat=%d\n", ev.at, ev.reqID, lat)
-		f.tracer.EmitAt(trace.EvClusterDone, 255, ev.at, 0, uint64(ev.reqID), lat)
+		fmt.Fprintf(&f.log, "%d done req=%d lat=%d\n", at, ev.reqID, lat)
+		f.tracer.EmitAt(trace.EvClusterDone, 255, at, 0, uint64(ev.reqID), lat)
 		return nil
 	}
 	n := f.nodes[ev.dst]
 	f.nDeliveries++
 	fmt.Fprintf(&f.log, "%d deliver %s msg=%d net=%d\n",
-		ev.at, n.spec.Name, ev.msgID, ev.netNS)
-	f.tracer.EmitAt(trace.EvNetDeliver, coreByte(ev.dst), ev.at, 0, ev.msgID, ev.netNS)
+		at, n.spec.Name, ev.msgID, ev.netNS)
+	f.tracer.EmitAt(trace.EvNetDeliver, coreByte(ev.dst), at, 0, ev.msgID, ev.netNS)
 	if ev.ch == n.ingress {
 		n.callers = append(n.callers, caller{src: ev.src, respTo: ev.respTo, reqID: ev.reqID})
 	}
-	n.m.AdvanceClock(n.epoch + ev.at)
+	n.m.AdvanceClock(n.epoch + at)
 	n.m.K.Inject(ev.ch, ev.payload)
 	if n.parked {
 		return nil
 	}
-	return f.runNode(n, ev.at, false)
+	return f.runNode(n, at, false)
 }
 
 // runNode advances one machine by at most a quantum, then routes
@@ -560,7 +535,7 @@ func (f *Fabric) runNode(n *node, t uint64, isResume bool) error {
 	}
 	if !done {
 		n.parked = true
-		f.push(&event{at: n.m.VirtNS() - n.epoch, kind: evResume, src: n.idx, dst: n.idx, respTo: -1, reqID: -1})
+		f.push(n.m.VirtNS()-n.epoch, event{kind: evResume, src: n.idx, dst: n.idx, respTo: -1, reqID: -1})
 	}
 	return nil
 }

@@ -12,7 +12,11 @@
 // the same seed yields a bit-identical fault schedule and sim trace.
 package faults
 
-import "svbench/internal/rpc"
+import (
+	"math"
+
+	"svbench/internal/rpc"
+)
 
 // PRNG is a deterministic xorshift64* generator. The zero seed is
 // remapped so the stream never degenerates to all zeros.
@@ -41,6 +45,13 @@ func (p *PRNG) Uint64() uint64 {
 // Float64 returns a value in [0, 1).
 func (p *PRNG) Float64() float64 {
 	return float64(p.Uint64()>>11) / float64(1<<53)
+}
+
+// Exp returns an exponentially distributed value with the given mean,
+// such as the gap to the next arrival of a Poisson process.
+func (p *PRNG) Exp(mean float64) float64 {
+	// 1-Float64() is in (0,1], so the log argument never hits zero.
+	return -math.Log(1-p.Float64()) * mean
 }
 
 // Chance reports true with probability prob.

@@ -62,8 +62,7 @@ func genArrivals(cfg Config) []uint64 {
 		// so the long-run rate still matches RPS.
 		t := 0.0
 		for {
-			gap := expGap(rng, meanGapNS*float64(burst))
-			t += gap
+			t += rng.Exp(meanGapNS * float64(burst))
 			if uint64(t) >= cfg.Duration {
 				return out
 			}
@@ -74,17 +73,11 @@ func genArrivals(cfg Config) []uint64 {
 	default: // Poisson
 		t := 0.0
 		for {
-			t += expGap(rng, meanGapNS)
+			t += rng.Exp(meanGapNS)
 			if uint64(t) >= cfg.Duration {
 				return out
 			}
 			out = append(out, uint64(t))
 		}
 	}
-}
-
-// expGap draws one exponential interarrival gap with the given mean (ns).
-func expGap(rng *faults.PRNG, meanNS float64) float64 {
-	// 1-Float64() is in (0,1], so the log argument never hits zero.
-	return -math.Log(1-rng.Float64()) * meanNS
 }

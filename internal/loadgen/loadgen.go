@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 
+	"svbench/internal/des"
 	"svbench/internal/faults"
 	"svbench/internal/gemsys"
 	"svbench/internal/harness"
@@ -109,6 +110,18 @@ func (c Config) PoolCap() int {
 	return c.MaxInstances
 }
 
+// Input caps (docs/loadgen.md "Determinism"). No user-supplied time an
+// engine adds to an event time (Duration, Retry.Deadline, the largest
+// backoff, the autoscaler's TickNS) exceeds maxTimeNS, so no event time
+// wraps. maxRunAttempts bounds the expected arrivals times the attempt
+// bound, and so the arrival stream and the trace ring, which Run sizes
+// per attempt. Every config in the repo is far below them.
+const (
+	maxTimeNS        = 1 << 50 // about 13 virtual days
+	maxRetryAttempts = 64
+	maxRunAttempts   = 1 << 20
+)
+
 // invokeBudget bounds one host-driven invocation's functional execution.
 const invokeBudget = 200_000_000
 
@@ -127,32 +140,29 @@ type qrec struct {
 	f       faults.AttemptFault
 }
 
-// busyRec tracks one in-flight attempt on its instance. done is when the
-// instance frees; the client observes the outcome at done plus any
-// injected reply delay, unless the reply was dropped (deliver=false), in
-// which case a timeout timer is already booked.
-type busyRec struct {
-	inst        *Instance
-	inv         int
-	attempt     int
-	done        uint64
-	f           faults.AttemptFault
-	deliver     bool
-	checkFailed bool
-}
-
-// Timer kinds of the event loop (chaos/retry path only).
+// Event classes, in the order events at the same instant run:
+// completions first (a freeing instance can absorb work at the same
+// instant), then client timers (a retrying invocation is older than a
+// new arrival), then arrivals. Every event's id is its invocation.
 const (
-	timerRetry   = iota // re-send the invocation's next attempt at due
-	timerTimeout        // the client gives up waiting on a lost message
+	evCompletion = iota
+	evTimer
+	evArrival
 )
 
-// timerRec is one pending client-side timer.
-type timerRec struct {
-	due     uint64
-	inv     int
-	attempt int
-	kind    uint8
+// event is one pending event of the loop. A completion frees inst at the
+// event time; the client observes the attempt's outcome then plus any
+// injected reply delay, unless the reply was dropped, in which case a
+// timeout timer is already booked. A timer is a backoff expiring into
+// attempt, or (timeout) a reply deadline expiring on a lost message.
+type event struct {
+	class       int
+	inv         int
+	attempt     int
+	inst        *Instance
+	f           faults.AttemptFault
+	checkFailed bool
+	timeout     bool
 }
 
 // Attempt-failure classes for failAttempt's accounting.
@@ -170,9 +180,8 @@ type engine struct {
 	invs    []Invocation
 
 	idle   []*Instance
-	busy   []busyRec
 	queue  []qrec
-	timers []timerRec
+	events des.Queue[event]
 
 	live int
 
@@ -194,10 +203,6 @@ type engine struct {
 	faulted      uint64
 	failed       uint64
 	recovered    uint64
-
-	// dispatchErr latches the first error raised by a dispatch that runs
-	// inside completion handling (queue-head placement).
-	dispatchErr error
 
 	tracer *trace.Tracer
 	reg    *trace.Registry
@@ -223,10 +228,30 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.MaxInstances < 0 {
 		return nil, fmt.Errorf("loadgen: MaxInstances must be >= 1, got %d", cfg.MaxInstances)
 	}
+	if cfg.Duration > maxTimeNS {
+		return nil, fmt.Errorf("loadgen: Duration %d ns exceeds the cap of %d ns", cfg.Duration, uint64(maxTimeNS))
+	}
+	if r := cfg.Retry; r != nil {
+		if r.MaxAttempts > maxRetryAttempts {
+			return nil, fmt.Errorf("loadgen: Retry.MaxAttempts %d exceeds the cap of %d", r.MaxAttempts, maxRetryAttempts)
+		}
+		if r.Deadline > maxTimeNS {
+			return nil, fmt.Errorf("loadgen: Retry.Deadline %d ns exceeds the cap of %d ns", r.Deadline, uint64(maxTimeNS))
+		}
+		// The largest backoff is the one before the last attempt.
+		if r.MaxAttempts >= 2 && r.Backoff > maxTimeNS>>min(r.MaxAttempts-2, 32) {
+			return nil, fmt.Errorf("loadgen: Retry.Backoff %d ns doubled over %d attempts exceeds the cap of %d ns",
+				r.Backoff, r.MaxAttempts, uint64(maxTimeNS))
+		}
+	}
 
 	// The config is kept verbatim (Report.Cfg echoes what the caller
 	// asked for); the effective cap is resolved into the engine.
 	e := &engine{cfg: cfg, maxInst: cfg.PoolCap()}
+	if n := cfg.RPS * float64(cfg.Duration) / 1e9; n*float64(e.maxAttempts()) > maxRunAttempts {
+		return nil, fmt.Errorf("loadgen: RPS %g over Duration %d ns expects %.0f arrivals of up to %d attempts each, above the cap of %d attempts",
+			cfg.RPS, cfg.Duration, n, e.maxAttempts(), maxRunAttempts)
+	}
 	e.arrives = genArrivals(cfg)
 	e.invs = make([]Invocation, len(e.arrives))
 	// Chaos runs emit extra retry/fail events: size the ring for the
@@ -353,71 +378,46 @@ func (e *engine) serve(inst *Instance, invID int) (uint64, bool, error) {
 	return svc, checkFailed, nil
 }
 
-// simulate runs the discrete-event loop: completions, client timers and
-// arrivals in virtual-time order. The tie-break at equal timestamps is
-// completions first (a freeing instance can absorb work at the same
-// instant), then timers (a retrying invocation is older than a new
-// arrival), then arrivals.
+// push schedules ev at time at.
+func (e *engine) push(at uint64, ev event) { e.events.Push(at, ev.class, ev.inv, ev) }
+
+// simulate runs the discrete-event loop over the event queue. Arrivals
+// are queued one at a time: each schedules the next.
 func (e *engine) simulate() error {
-	next := 0
-	for next < len(e.arrives) || len(e.busy) > 0 || len(e.timers) > 0 {
-		ci := e.earliestCompletion()
-		ti := e.earliestTimer()
-		ct, tt, at := ^uint64(0), ^uint64(0), ^uint64(0)
-		if ci >= 0 {
-			ct = e.busy[ci].done
-		}
-		if ti >= 0 {
-			tt = e.timers[ti].due
-		}
-		if next < len(e.arrives) {
-			at = e.arrives[next]
-		}
-		switch {
-		case ci >= 0 && ct <= tt && ct <= at:
-			rec := e.busy[ci]
-			e.busy = append(e.busy[:ci], e.busy[ci+1:]...)
-			e.complete(rec)
-		case ti >= 0 && tt <= at:
-			tm := e.timers[ti]
-			e.timers = append(e.timers[:ti], e.timers[ti+1:]...)
-			e.fireTimer(tm)
-		default:
-			id := next
-			next++
-			now := e.arrives[id]
-			e.invs[id].ID = id
-			e.invs[id].Arrive = now
-			e.tracer.EmitAt(trace.EvInvokeArrive, 0, now, 0, uint64(id), 0)
-			if err := e.sendAttempt(id, 1, now); err != nil {
-				return err
+	if len(e.arrives) > 0 {
+		e.push(e.arrives[0], event{class: evArrival})
+	}
+	for e.events.Len() > 0 {
+		now, ev := e.events.Pop()
+		var err error
+		switch ev.class {
+		case evCompletion:
+			err = e.complete(ev, now)
+		case evTimer:
+			if ev.timeout {
+				e.failAttempt(ev.inv, ev.attempt, now, failTimeout)
+			} else {
+				err = e.sendAttempt(ev.inv, ev.attempt, now)
 			}
+		case evArrival:
+			err = e.arrive(ev.inv, now)
 		}
-		if e.dispatchErr != nil {
-			return e.dispatchErr
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// earliestTimer returns the pending timer index with the smallest due
-// time (ties: lowest invocation id, then attempt, then kind), or -1.
-func (e *engine) earliestTimer() int {
-	best := -1
-	for i := range e.timers {
-		if best < 0 {
-			best = i
-			continue
-		}
-		a, b := &e.timers[i], &e.timers[best]
-		if a.due < b.due ||
-			(a.due == b.due && (a.inv < b.inv ||
-				(a.inv == b.inv && (a.attempt < b.attempt ||
-					(a.attempt == b.attempt && a.kind < b.kind))))) {
-			best = i
-		}
+// arrive admits invocation id and schedules the next arrival.
+func (e *engine) arrive(id int, now uint64) error {
+	if next := id + 1; next < len(e.arrives) {
+		e.push(e.arrives[next], event{class: evArrival, inv: next})
 	}
-	return best
+	e.invs[id].ID = id
+	e.invs[id].Arrive = now
+	e.tracer.EmitAt(trace.EvInvokeArrive, 0, now, 0, uint64(id), 0)
+	return e.sendAttempt(id, 1, now)
 }
 
 // sendAttempt issues one client attempt: the fault hook is consulted
@@ -434,26 +434,15 @@ func (e *engine) sendAttempt(inv, attempt int, now uint64) error {
 		e.invs[inv].FaultedAttempts++
 		e.faulted++
 	}
+	if f.DropRequest || f.DropResponse {
+		// A lost request or reply: the client notices at its deadline,
+		// which runs from the send, however long the attempt queues.
+		e.push(now+e.deadlineNS(), event{class: evTimer, inv: inv, attempt: attempt, timeout: true})
+	}
 	if f.DropRequest {
-		// The request is lost before it reaches the platform: no instance
-		// is touched and the client notices at its reply deadline.
-		e.timers = append(e.timers, timerRec{due: now + e.deadlineNS(), inv: inv, attempt: attempt, kind: timerTimeout})
-		return nil
+		return nil // no instance is touched
 	}
 	return e.dispatch(qrec{inv: inv, attempt: attempt, sent: now, f: f}, now)
-}
-
-// fireTimer handles one client-side timer: a backoff expiring into the
-// next attempt, or a reply deadline expiring on a lost message.
-func (e *engine) fireTimer(tm timerRec) {
-	switch tm.kind {
-	case timerRetry:
-		if err := e.sendAttempt(tm.inv, tm.attempt, tm.due); err != nil && e.dispatchErr == nil {
-			e.dispatchErr = err
-		}
-	case timerTimeout:
-		e.failAttempt(tm.inv, tm.attempt, tm.due, failTimeout)
-	}
 }
 
 // failAttempt books one attempt's failure: the next attempt is scheduled
@@ -471,7 +460,7 @@ func (e *engine) failAttempt(inv, attempt int, now uint64, why int) {
 	if attempt < e.maxAttempts() {
 		e.retries++
 		e.tracer.EmitAt(trace.EvInvokeRetry, 0, now, 0, uint64(inv), uint64(attempt+1))
-		e.timers = append(e.timers, timerRec{due: now + e.backoffNS(attempt), inv: inv, attempt: attempt + 1, kind: timerRetry})
+		e.push(now+e.backoffNS(attempt), event{class: evTimer, inv: inv, attempt: attempt + 1})
 		return
 	}
 	iv := &e.invs[inv]
@@ -505,19 +494,6 @@ func (e *engine) observeFinal(iv *Invocation) {
 	if iv.Cold {
 		e.coldD.Observe(iv.ColdPenalty)
 	}
-}
-
-// earliestCompletion returns the busy index with the smallest completion
-// time (ties: lowest invocation id), or -1.
-func (e *engine) earliestCompletion() int {
-	best := -1
-	for i := range e.busy {
-		if best < 0 || e.busy[i].done < e.busy[best].done ||
-			(e.busy[i].done == e.busy[best].done && e.busy[i].inv < e.busy[best].inv) {
-			best = i
-		}
-	}
-	return best
 }
 
 // leaseEnd is when an idle instance's keep-alive lease expires
@@ -610,8 +586,8 @@ func (e *engine) dispatch(q qrec, now uint64) error {
 }
 
 // start serves one attempt on inst beginning at now (plus the boot
-// penalty when cold) and books the instance-free instant. Queue delay and
-// cold penalties accumulate across an invocation's attempts.
+// penalty when cold) and schedules its completion. Queue delay and cold
+// penalties accumulate across an invocation's attempts.
 func (e *engine) start(q qrec, now uint64, inst *Instance, cold bool) error {
 	inv := &e.invs[q.inv]
 	inv.Instance = inst.ID
@@ -641,48 +617,37 @@ func (e *engine) start(q qrec, now uint64, inst *Instance, cold bool) error {
 	inv.Start = startNS
 	inv.Service = svc
 	e.tracer.EmitAt(trace.EvInvokeRun, uint8(inst.ID), startNS, 0, uint64(q.inv), svc)
-	done := startNS + svc
-	if q.f.DropResponse {
-		// The reply is lost on the way back: the instance did the work,
-		// but the client only notices at its per-attempt deadline.
-		e.timers = append(e.timers, timerRec{due: q.sent + e.deadlineNS(), inv: q.inv, attempt: q.attempt, kind: timerTimeout})
-	}
-	e.busy = append(e.busy, busyRec{
-		inst: inst, inv: q.inv, attempt: q.attempt, done: done,
-		f: q.f, deliver: !q.f.DropResponse, checkFailed: checkFailed,
+	e.push(startNS+svc, event{
+		class: evCompletion, inv: q.inv, attempt: q.attempt, inst: inst,
+		f: q.f, checkFailed: checkFailed,
 	})
 	return nil
 }
 
 // complete retires one attempt: the instance idles from the completion
 // instant, the client observes the outcome (unless the reply was lost),
-// and the queue head (if any) is placed immediately — warm, on the
-// instance that just freed up.
-func (e *engine) complete(rec busyRec) {
-	now := rec.done
-	rec.inst.IdleSince = now
-	e.idle = append(e.idle, rec.inst)
-	if rec.deliver {
-		observe := now + rec.f.DelayNS
+// and the queue head (if any) is placed immediately — normally warm, on
+// the instance that just freed up; with KeepAlive 0 it cold-starts.
+func (e *engine) complete(ev event, now uint64) error {
+	ev.inst.IdleSince = now
+	e.idle = append(e.idle, ev.inst)
+	if !ev.f.DropResponse {
+		observe := now + ev.f.DelayNS
 		switch {
-		case rec.f.ErrorReply:
-			e.failAttempt(rec.inv, rec.attempt, observe, failErrorReply)
-		case rec.f.BadReply, rec.checkFailed && e.cfg.Retry != nil:
+		case ev.f.ErrorReply:
+			e.failAttempt(ev.inv, ev.attempt, observe, failErrorReply)
+		case ev.f.BadReply, ev.checkFailed && e.cfg.Retry != nil:
 			// A corrupted reply — or one failing the spec's check under a
 			// retry policy — is re-attempted like any client would.
-			e.failAttempt(rec.inv, rec.attempt, observe, failBadReply)
+			e.failAttempt(ev.inv, ev.attempt, observe, failBadReply)
 		default:
-			e.finish(rec.inv, observe)
+			e.finish(ev.inv, observe)
 		}
 	}
-	if len(e.queue) > 0 {
-		q := e.queue[0]
-		e.queue = e.queue[1:]
-		// Normally the queue head lands warm on the instance that just
-		// idled; with KeepAlive 0 it can cold-start instead, which may
-		// fail — latch the error for simulate to surface.
-		if err := e.dispatch(q, now); err != nil && e.dispatchErr == nil {
-			e.dispatchErr = err
-		}
+	if len(e.queue) == 0 {
+		return nil
 	}
+	q := e.queue[0]
+	e.queue = e.queue[1:]
+	return e.dispatch(q, now)
 }

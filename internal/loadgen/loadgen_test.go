@@ -10,6 +10,7 @@ import (
 	"svbench/internal/gemsys"
 	"svbench/internal/harness"
 	"svbench/internal/isa"
+	"svbench/internal/trace"
 )
 
 func specByName(t *testing.T, name string) harness.Spec {
@@ -110,6 +111,41 @@ func TestRunValidation(t *testing.T) {
 	cfg.MaxInstances = -1
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative pool cap accepted")
+	}
+
+	// Configs beyond the input caps: times that would wrap the event
+	// clock, an attempt count the trace ring cannot hold, and an arrival
+	// stream too large to keep in memory.
+	dropAll := &timedFault{end: ^uint64(0), f: faults.AttemptFault{DropRequest: true}}
+	for _, tc := range []struct {
+		field string
+		mod   func(*Config)
+	}{
+		{"Duration", func(c *Config) { c.Duration, c.RPS = 1<<51, 1e-6 }},
+		{"arrivals", func(c *Config) { c.RPS = 1e12 }},
+		{"Retry.MaxAttempts", func(c *Config) {
+			c.Retry = &faults.Retry{MaxAttempts: 1 << 40, Backoff: 1000, Deadline: 100_000}
+		}},
+		{"attempts each", func(c *Config) {
+			c.RPS = 400_000 // 20000 arrivals of up to 64 attempts
+			c.Retry = &faults.Retry{MaxAttempts: 64, Backoff: 1000, Deadline: 100_000}
+		}},
+		{"Retry.Deadline", func(c *Config) {
+			c.RPS, c.Duration = 2000, 5_000_000
+			c.Retry = &faults.Retry{MaxAttempts: 3, Backoff: 1000, Deadline: math.MaxUint64}
+			c.Chaos = dropAll
+		}},
+		{"Retry.Backoff", func(c *Config) {
+			c.Retry = &faults.Retry{MaxAttempts: 4, Backoff: 1 << 49, Deadline: 100_000}
+		}},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			cfg := testConfig(t)
+			tc.mod(&cfg)
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("err = %v, want an error naming %s", err, tc.field)
+			}
+		})
 	}
 }
 
@@ -414,6 +450,54 @@ func TestDroppedRequestTimesOut(t *testing.T) {
 			t.Fatalf("invocation %d: failed=%v latency=%d, want failure at default deadline %d",
 				inv.ID, inv.Failed, inv.Latency, deadline)
 		}
+	}
+}
+
+// lostReplyQueuedConfig drops every reply into a one-instance pool under
+// a bursty load heavy enough that attempts wait in the FIFO past their
+// reply deadline: the timeout of such an attempt falls due while it is
+// still queued.
+func lostReplyQueuedConfig(t *testing.T) Config {
+	cfg := testConfig(t)
+	cfg.Arrival = Bursty
+	cfg.RPS = 20_000
+	cfg.Duration = 2_000_000
+	cfg.MaxInstances = 1
+	cfg.Retry = &faults.Retry{MaxAttempts: 3, Backoff: 10_000, Deadline: 100_000}
+	cfg.Chaos = &timedFault{end: ^uint64(0), f: faults.AttemptFault{DropResponse: true}}
+	return cfg
+}
+
+// TestLostReplyTimeoutRunsFromSend: a lost reply's timeout is due a
+// deadline after the attempt was sent, also when the attempt waited in
+// the FIFO past that instant. Without a reply delay, arrivals, retries,
+// failures and warm runs are stamped when their event runs, so the trace
+// must carry them in non-decreasing time order.
+func TestLostReplyTimeoutRunsFromSend(t *testing.T) {
+	rep, err := Run(lostReplyQueuedConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.TraceDropped != 0 || rep.MaxQueueDepth == 0 || rep.Timeouts == 0 {
+		t.Fatalf("config misses the lost-reply-in-queue path: dropped=%d maxQueue=%d timeouts=%d",
+			rep.TraceDropped, rep.MaxQueueDepth, rep.Timeouts)
+	}
+	var last uint64
+	for i, ev := range rep.Events {
+		switch ev.Kind {
+		case trace.EvInvokeArrive, trace.EvInvokeRetry, trace.EvInvokeFail:
+		case trace.EvInvokeRun:
+			if i > 0 && rep.Events[i-1].Kind == trace.EvColdStart {
+				continue // a cold run is stamped after the boot penalty
+			}
+		default:
+			continue
+		}
+		if ev.Cycle < last {
+			t.Fatalf("event %d (kind %d, invocation %d) at %d follows an event at %d",
+				i, ev.Kind, ev.Arg, ev.Cycle, last)
+		}
+		last = ev.Cycle
 	}
 }
 
