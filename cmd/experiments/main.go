@@ -1,8 +1,9 @@
 // Command experiments regenerates every figure and table of the thesis's
 // evaluation section and writes them as markdown (stdout or -out file)
-// plus per-figure CSVs when -csv DIR is given. The sweep runs on a
-// worker pool (-j) with memoized boot checkpoints; the report is
-// byte-identical for every -j value and with memoization disabled.
+// plus per-figure CSVs when -csv DIR is given. The sweep and the report
+// studies run on a worker pool (-j), the sweep with memoized boot
+// checkpoints; the report is byte-identical for every -j value and with
+// memoization disabled.
 package main
 
 import (
@@ -38,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sampleFl = fs.Bool("sampling", false, "also run the sampled-vs-full CPI error table (SMARTS-style sampled simulation)")
 		seed     = fs.Uint64("seed", 1, "fault-injection / load-arrival seed for -chaos, -load, -scenarios, -cluster and -autoscale")
 		jobs     = fs.Int("j", sweep.DefaultJobs(),
-			"sweep worker count, >= 1 (results are identical for every value; default GOMAXPROCS)")
+			"worker count of the sweep and the report studies, >= 1 (results are identical for every value; default GOMAXPROCS)")
 		noMemo = fs.Bool("no-memo", false,
 			"disable boot-checkpoint memoization (every run simulates its own setup; results are identical)")
 	)
@@ -47,6 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if err := sweep.ValidateJobs(*jobs); err != nil {
 		fmt.Fprintln(stderr, "experiments: -j:", err)
+		return 2
+	}
+	if *nreq < 1 {
+		fmt.Fprintf(stderr, "experiments: -requests must be >= 1, got %d\n", *nreq)
 		return 2
 	}
 
@@ -61,13 +66,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	all, err := figures.ReportData(res, figures.ReportOpts{
+		Jobs:          *jobs,
 		Requests:      *nreq,
 		SkipEmulation: *skipEmu,
 		Chaos:         *chaos,
 		ChaosSeed:     *seed,
 		Load:          *loadFl,
 		LoadSeed:      *seed,
-		LoadJobs:      *jobs,
 		Scenarios:     *scenFl,
 		ScenarioSeed:  *seed,
 		Cluster:       *clustFl,

@@ -72,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "svbench: -j:", err)
 		return 2
 	}
+	if *requests < 1 {
+		fmt.Fprintf(stderr, "svbench: -requests must be >= 1, got %d\n", *requests)
+		return 2
+	}
 
 	if *list {
 		for _, sp := range svbench.AllSpecs() {

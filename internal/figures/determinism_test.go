@@ -3,9 +3,12 @@ package figures
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
+	"svbench/internal/gemsys"
 	"svbench/internal/harness"
 	"svbench/internal/isa"
 	"svbench/internal/trace"
@@ -138,5 +141,92 @@ func TestFailuresSortedDeterministically(t *testing.T) {
 				t.Fatalf("jobs=%d: failures order %v, want %v", jobs, got, want)
 			}
 		}
+	}
+}
+
+// TestHandOutOrder: SweepWith's task list is a permutation of the
+// default matrix, each task on its arch's default machine, and hands out
+// profile on cisc64, the longest task, first.
+func TestHandOutOrder(t *testing.T) {
+	fn := append(harness.StandaloneSpecs(), harness.ShopSpecs()...)
+	hotelSpecs := harness.HotelSpecs(harness.EngineCassandra)
+	arches := []isa.Arch{isa.RV64, isa.CISC64}
+	tasks, hotel := handOut(arches, fn, hotelSpecs)
+	if len(hotel) != len(tasks) {
+		t.Fatalf("%d hotel marks for %d tasks", len(hotel), len(tasks))
+	}
+	key := func(arch isa.Arch, name string, hotel bool) string {
+		return fmt.Sprintf("%s/%s hotel=%v", arch, name, hotel)
+	}
+	var got, want []string
+	for i, tk := range tasks {
+		got = append(got, key(tk.Cfg.Arch, tk.Spec.Name, hotel[i]))
+		if !reflect.DeepEqual(tk.Cfg, gemsys.DefaultConfig(tk.Cfg.Arch)) {
+			t.Errorf("%s does not run on its arch's default machine", got[i])
+		}
+	}
+	for _, arch := range arches {
+		for _, sp := range fn {
+			want = append(want, key(arch, sp.Name, false))
+		}
+		for _, sp := range hotelSpecs {
+			want = append(want, key(arch, sp.Name, true))
+		}
+	}
+	if len(got) == 0 || got[0] != key(isa.CISC64, "profile", true) {
+		t.Errorf("hand-out order %v, want profile on cisc64 first", got)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("tasks are not the matrix, each pair once:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestReportDataIdenticalAcrossJobs: the studies ReportData runs on the
+// worker pool — Fig. 4.20's emulation runs and the image builds of
+// Tables 4.4 and 4.5 — give the same rows and the same report on one
+// worker as on four. The Results is empty, so the sweep projections skip
+// every row and the comparison is the studies'.
+func TestReportDataIdenticalAcrossJobs(t *testing.T) {
+	empty := &Results{}
+	var want []Data
+	var wantText string
+	for _, jobs := range []int{1, 4} {
+		all, err := ReportData(empty, ReportOpts{Jobs: jobs, Requests: 2})
+		if err != nil {
+			t.Fatalf("jobs=%d: %v", jobs, err)
+		}
+		text := Render(empty, all)
+		if jobs == 1 {
+			want, wantText = all, text
+			continue
+		}
+		if text != wantText {
+			t.Errorf("jobs=%d: report differs from jobs=1 (%d vs %d bytes)", jobs, len(text), len(wantText))
+		}
+		if !reflect.DeepEqual(all, want) {
+			t.Errorf("jobs=%d: rows differ from jobs=1", jobs)
+		}
+	}
+	studies := 0
+	for _, d := range want {
+		if g, ok := goldenStudies[d.ID]; ok {
+			studies++
+			if got := markdownDigest(d); got != g {
+				t.Errorf("%s: digest %s, want %s", d.ID, got, g)
+			}
+		}
+	}
+	if studies != len(goldenStudies) {
+		t.Errorf("report holds %d of the %d studies", studies, len(goldenStudies))
+	}
+}
+
+// TestReportDataRejectsBadJobs: a negative worker count is an error, not
+// a panic on the pool.
+func TestReportDataRejectsBadJobs(t *testing.T) {
+	if _, err := ReportData(&Results{}, ReportOpts{Jobs: -1}); err == nil {
+		t.Fatal("Jobs -1 accepted")
 	}
 }

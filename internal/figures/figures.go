@@ -81,8 +81,9 @@ type Results struct {
 }
 
 // SweepOpts configures how the experiment matrix is executed. The zero
-// value runs serially with memoization enabled — any worker count and
-// either memoization setting produces identical Results.
+// value runs on sweep.DefaultJobs() workers with memoization enabled —
+// any worker count and either memoization setting produces identical
+// Results.
 type SweepOpts struct {
 	// Jobs is the worker count; 0 means sweep.DefaultJobs().
 	Jobs int
@@ -107,29 +108,11 @@ func Sweep(arches []isa.Arch, fnSpecs, hotelSpecs []harness.Spec, log func(strin
 // SweepWith runs fnSpecs and hotelSpecs on each arch across a worker
 // pool, degrading gracefully: a failed experiment lands in
 // Results.Failures as a structured *harness.ExperimentError and the
-// sweep continues. Results are merged in canonical matrix order (arch
-// major, then fn specs, then hotel specs) and Failures are sorted, so
+// sweep continues. Tasks are handed out in handOut's cost order, each
+// outcome is routed to its (arch, name) slot and Failures are sorted, so
 // the returned Results is identical for every Jobs/DisableMemo setting.
 func SweepWith(arches []isa.Arch, fnSpecs, hotelSpecs []harness.Spec, opt SweepOpts) *Results {
-	type slot struct {
-		hotel bool
-		arch  isa.Arch
-		name  string
-	}
-	var tasks []sweep.Task
-	var slots []slot
-	for _, arch := range arches {
-		cfg := gemsys.DefaultConfig(arch)
-		for _, sp := range fnSpecs {
-			tasks = append(tasks, sweep.Task{Cfg: cfg, Spec: sp})
-			slots = append(slots, slot{arch: arch, name: sp.Name})
-		}
-		for _, sp := range hotelSpecs {
-			tasks = append(tasks, sweep.Task{Cfg: cfg, Spec: sp})
-			slots = append(slots, slot{hotel: true, arch: arch, name: sp.Name})
-		}
-	}
-
+	tasks, hotel := handOut(arches, fnSpecs, hotelSpecs)
 	out := sweep.Run(tasks, sweep.Options{
 		Jobs:        opt.Jobs,
 		DisableMemo: opt.DisableMemo,
@@ -146,23 +129,22 @@ func SweepWith(arches []isa.Arch, fnSpecs, hotelSpecs []harness.Spec, opt SweepO
 		res.Hotel[arch] = map[string]*harness.Result{}
 	}
 	for i, o := range out {
-		s := slots[i]
+		arch, name := o.Task.Cfg.Arch, o.Task.Spec.Name
 		if o.Err != nil {
 			var ee *harness.ExperimentError
 			if !errors.As(o.Err, &ee) {
-				name := s.name
-				if s.hotel {
+				if hotel[i] {
 					name = "hotel-" + name
 				}
-				ee = &harness.ExperimentError{Spec: name, Arch: s.arch, Phase: "run", Err: o.Err}
+				ee = &harness.ExperimentError{Spec: name, Arch: arch, Phase: "run", Err: o.Err}
 			}
 			res.Failures = append(res.Failures, ee)
 			continue
 		}
-		if s.hotel {
-			res.Hotel[s.arch][s.name] = o.Result
+		if hotel[i] {
+			res.Hotel[arch][name] = o.Result
 		} else {
-			res.Fn[s.arch][s.name] = o.Result
+			res.Fn[arch][name] = o.Result
 		}
 	}
 	sort.SliceStable(res.Failures, func(i, j int) bool {
@@ -172,6 +154,38 @@ func SweepWith(arches []isa.Arch, fnSpecs, hotelSpecs []harness.Spec, opt SweepO
 		return res.Failures[i].Spec < res.Failures[j].Spec
 	})
 	return res
+}
+
+// handOut lists SweepWith's tasks in the order the workers take them,
+// with hotel[i] marking the hotel tasks. The longest tasks go first, so
+// the pool never ends with one worker running a long task while the
+// others idle (Graham's LPT rule). The order is fixed by cost class, not
+// measured: the hotel block before the standalone and shop block, cisc64
+// before rv64 within each block, and the hotel functions in reverse
+// catalog order, which hands out profile on cisc64, the longest task of
+// the default matrix, first.
+func handOut(arches []isa.Arch, fnSpecs, hotelSpecs []harness.Spec) (tasks []sweep.Task, hotel []bool) {
+	var cfgs []gemsys.Config
+	for _, arch := range arches {
+		if arch == isa.CISC64 {
+			cfgs = append([]gemsys.Config{gemsys.DefaultConfig(arch)}, cfgs...)
+		} else {
+			cfgs = append(cfgs, gemsys.DefaultConfig(arch))
+		}
+	}
+	for _, cfg := range cfgs {
+		for i := len(hotelSpecs) - 1; i >= 0; i-- {
+			tasks = append(tasks, sweep.Task{Cfg: cfg, Spec: hotelSpecs[i]})
+			hotel = append(hotel, true)
+		}
+	}
+	for _, cfg := range cfgs {
+		for _, sp := range fnSpecs {
+			tasks = append(tasks, sweep.Task{Cfg: cfg, Spec: sp})
+			hotel = append(hotel, false)
+		}
+	}
+	return tasks, hotel
 }
 
 // Collect runs the complete sweep serially. Progress (one line per
@@ -387,28 +401,56 @@ func (r *Results) TableMPKI() Data {
 		}, isa.RV64, isa.CISC64)
 }
 
-// Fig420 runs the QEMU-mode MongoDB-vs-Cassandra comparison (x86).
-func Fig420(nreq int) (Data, error) {
+// Fig420 runs the QEMU-mode MongoDB-vs-Cassandra comparison (x86) on
+// sweep.DefaultJobs() workers.
+func Fig420(nreq int) (Data, error) { return fig420(nreq, 0) }
+
+func fig420(nreq, jobs int) (Data, error) {
 	d := Data{
 		ID:      "fig4.20",
 		Title:   "MongoDB vs Cassandra request latency under emulation (x86, ns)",
 		Columns: []string{"cass cold", "cass warm", "mongo cold", "mongo warm"},
 	}
-	for _, fn := range HotelOrder {
-		cass, err := qemu.Run(isa.CISC64, harness.HotelSpec(fn, harness.EngineCassandra), nreq)
+	engines := []harness.HotelEngine{harness.EngineCassandra, harness.EngineMongo}
+	// Cell i is HotelOrder[i/2] on engines[i%2]: its cold and warm latency.
+	runs, err := cells(2*len(HotelOrder), jobs, func(i int) ([2]float64, error) {
+		fn, eng := HotelOrder[i/2], engines[i%2]
+		lats, err := qemu.Run(isa.CISC64, harness.HotelSpec(fn, eng), nreq)
 		if err != nil {
-			return d, fmt.Errorf("fig4.20 %s/cassandra: %w", fn, err)
+			return [2]float64{}, fmt.Errorf("fig4.20 %s/%s: %w", fn, eng, err)
 		}
-		mongo, err := qemu.Run(isa.CISC64, harness.HotelSpec(fn, harness.EngineMongo), nreq)
-		if err != nil {
-			return d, fmt.Errorf("fig4.20 %s/mongodb: %w", fn, err)
-		}
-		d.Rows = append(d.Rows, Row{Label: fn, Values: []float64{
-			float64(cass[0].NS), float64(cass[nreq-1].NS),
-			float64(mongo[0].NS), float64(mongo[nreq-1].NS),
-		}})
+		return [2]float64{float64(lats[0].NS), float64(lats[nreq-1].NS)}, nil
+	})
+	if err != nil {
+		return d, err
+	}
+	for i, fn := range HotelOrder {
+		cass, mongo := runs[2*i], runs[2*i+1]
+		d.Rows = append(d.Rows, Row{Label: fn, Values: []float64{cass[0], cass[1], mongo[0], mongo[1]}})
 	}
 	return d, nil
+}
+
+// cells computes cell(0)…cell(n-1) on jobs workers (0 selects
+// sweep.DefaultJobs()), each into its own slot, and returns the values in
+// index order, or the error of the lowest failing index, so the outcome
+// is the same for every worker count. The workers take the cells from
+// the last index down: Fig. 4.20's runs grow longer down the catalog and
+// end with profile's pair, the longest; the image builds of the size
+// tables take about the same time each.
+func cells[T any](n, jobs int, cell func(i int) (T, error)) ([]T, error) {
+	vals := make([]T, n)
+	errs := make([]error, n)
+	sweep.Each(n, jobs, func(k int) {
+		i := n - 1 - k
+		vals[i], errs[i] = cell(i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return vals, nil
 }
 
 // Table41 renders the common configuration parameters.

@@ -98,3 +98,50 @@ func TestUntracedStatsGolden(t *testing.T) {
 		})
 	}
 }
+
+// goldenStudies pins the Markdown of the report studies that run outside
+// the sweep, the first 16 hex digits of its sha256: Fig. 4.20 at two
+// requests and the two container-size tables. The cross-jobs test only
+// compares worker counts with each other; these constants also catch a
+// cell written into the wrong slot by every worker count alike.
+var goldenStudies = map[string]string{
+	"fig4.20":  "943c102796451297",
+	"table4.4": "5d2f6b5722f0859c",
+	"table4.5": "ee7a5124dc198b5b",
+}
+
+func markdownDigest(d Data) string {
+	sum := sha256.Sum256([]byte(d.Markdown()))
+	return hex.EncodeToString(sum[:])[:16]
+}
+
+// TestFig420ReportsFirstFailingRow: with every emulation run failing,
+// Fig. 4.20 reports the first row's Cassandra run, whichever worker
+// failed first.
+func TestFig420ReportsFirstFailingRow(t *testing.T) {
+	_, err := Fig420(0)
+	want := "fig4.20 geo/cassandra: qemu: request count must be >= 1, got 0"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Fig420(0): error %v, want %q", err, want)
+	}
+}
+
+func TestReportStudiesGolden(t *testing.T) {
+	f420, err := Fig420(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t44, err := Table44()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t45, err := Table45()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Data{f420, t44, t45} {
+		if got := markdownDigest(d); got != goldenStudies[d.ID] {
+			t.Errorf("%s: digest %s, want %s", d.ID, got, goldenStudies[d.ID])
+		}
+	}
+}

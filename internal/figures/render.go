@@ -5,10 +5,17 @@ import (
 	"strings"
 
 	"svbench/internal/isa"
+	"svbench/internal/sweep"
 )
 
 // ReportOpts selects which optional studies join the evaluation report.
 type ReportOpts struct {
+	// Jobs is the worker count of every study ReportData runs in
+	// parallel: Fig. 4.20's emulation runs, the image builds of Tables
+	// 4.4 and 4.5, and the load, scenario, cluster and autoscale
+	// studies. 0 means sweep.DefaultJobs(), as for SweepOpts.Jobs; the
+	// report is identical for every value.
+	Jobs int
 	// Requests per function in the emulation study (fig 4.20); 0 means 6.
 	Requests int
 	// SkipEmulation leaves out fig 4.20 (the slowest study).
@@ -17,21 +24,19 @@ type ReportOpts struct {
 	Chaos     bool
 	ChaosSeed uint64
 	// Load adds the open-loop load study (throughput-vs-tail-latency
-	// curve and cold-start-vs-keep-alive table), driven by LoadSeed
-	// across LoadJobs workers (0 = serial).
+	// curve and cold-start-vs-keep-alive table), driven by LoadSeed.
 	Load     bool
 	LoadSeed uint64
-	LoadJobs int
 	// Scenarios adds the chaos-scenario SLO matrix (scenario × arch),
-	// driven by ScenarioSeed across LoadJobs workers.
+	// driven by ScenarioSeed.
 	Scenarios    bool
 	ScenarioSeed uint64
 	// Cluster adds the multi-machine fabric table (topology × arch),
-	// driven by ClusterSeed across LoadJobs workers.
+	// driven by ClusterSeed.
 	Cluster     bool
 	ClusterSeed uint64
 	// Autoscale adds the cluster-autoscaling policy × RPS matrix, driven
-	// by AutoscaleSeed across LoadJobs workers.
+	// by AutoscaleSeed.
 	Autoscale     bool
 	AutoscaleSeed uint64
 	// Sampling adds the sampled-vs-full CPI error table (SMARTS-style
@@ -45,6 +50,11 @@ type ReportOpts struct {
 // the evaluation report: the sweep projections from res plus the
 // static/emulation tables selected by opt.
 func ReportData(res *Results, opt ReportOpts) ([]Data, error) {
+	if opt.Jobs != 0 {
+		if err := sweep.ValidateJobs(opt.Jobs); err != nil {
+			return nil, fmt.Errorf("figures: %w", err)
+		}
+	}
 	all := []Data{Table41(),
 		res.Fig44(), res.Fig45(), res.Fig46(), res.Fig47(), res.Fig48(), res.Fig49(),
 		res.Fig410(), res.Fig411(), res.Fig412(), res.Fig413(), res.Fig414(),
@@ -55,17 +65,17 @@ func ReportData(res *Results, opt ReportOpts) ([]Data, error) {
 		if nreq == 0 {
 			nreq = 6
 		}
-		f420, err := Fig420(nreq)
+		f420, err := fig420(nreq, opt.Jobs)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, f420)
 	}
-	t44, err := Table44()
+	t44, err := table44(opt.Jobs)
 	if err != nil {
 		return nil, err
 	}
-	t45, err := Table45()
+	t45, err := table45(opt.Jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -78,48 +88,32 @@ func ReportData(res *Results, opt ReportOpts) ([]Data, error) {
 		all = append(all, tc)
 	}
 	if opt.Load {
-		jobs := opt.LoadJobs
-		if jobs == 0 {
-			jobs = 1
-		}
-		curve, err := LoadCurve(isa.RV64, opt.LoadSeed, jobs)
+		curve, err := LoadCurve(isa.RV64, opt.LoadSeed, opt.Jobs)
 		if err != nil {
 			return nil, err
 		}
-		ka, err := LoadKeepAlive(isa.RV64, opt.LoadSeed, jobs)
+		ka, err := LoadKeepAlive(isa.RV64, opt.LoadSeed, opt.Jobs)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, curve, ka)
 	}
 	if opt.Scenarios {
-		jobs := opt.LoadJobs
-		if jobs == 0 {
-			jobs = 1
-		}
-		ts, err := TableScenarios([]isa.Arch{isa.RV64, isa.CISC64}, opt.ScenarioSeed, jobs, opt.Log)
+		ts, err := TableScenarios([]isa.Arch{isa.RV64, isa.CISC64}, opt.ScenarioSeed, opt.Jobs, opt.Log)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, ts)
 	}
 	if opt.Cluster {
-		jobs := opt.LoadJobs
-		if jobs == 0 {
-			jobs = 1
-		}
-		tc, err := TableCluster([]isa.Arch{isa.RV64, isa.CISC64}, opt.ClusterSeed, jobs, opt.Log)
+		tc, err := TableCluster([]isa.Arch{isa.RV64, isa.CISC64}, opt.ClusterSeed, opt.Jobs, opt.Log)
 		if err != nil {
 			return nil, err
 		}
 		all = append(all, tc)
 	}
 	if opt.Autoscale {
-		jobs := opt.LoadJobs
-		if jobs == 0 {
-			jobs = 1
-		}
-		ta, err := TableAutoscale(isa.RV64, opt.AutoscaleSeed, jobs, opt.Log)
+		ta, err := TableAutoscale(isa.RV64, opt.AutoscaleSeed, opt.Jobs, opt.Log)
 		if err != nil {
 			return nil, err
 		}

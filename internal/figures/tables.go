@@ -83,31 +83,43 @@ func BuildFunctionImage(sp ImageSpec, arch isa.Arch, prof container.Profile) (*c
 const kb = 1024.0
 
 // Table44 reproduces the container compressed-size comparison (x86 vs
-// RISC-V). Values are in KiB; at the repository's documented 1:1000 scale
-// a KiB corresponds to a MB of Table 4.4.
-func Table44() (Data, error) {
+// RISC-V) on sweep.DefaultJobs() workers. Values are in KiB; at the
+// repository's documented 1:1000 scale a KiB corresponds to a MB of
+// Table 4.4.
+func Table44() (Data, error) { return table44(0) }
+
+func table44(jobs int) (Data, error) {
 	d := Data{ID: "table4.4", Title: "Container compressed size (KiB; 1 KiB ~ 1 MB of the thesis)",
 		Columns: []string{"x86", "riscv"}}
-	for _, sp := range ImageCatalog() {
-		var vals []float64
-		for _, arch := range []isa.Arch{isa.CISC64, isa.RV64} {
-			img, err := BuildFunctionImage(sp, arch, container.GPourProfile)
-			if err != nil {
-				return d, fmt.Errorf("table4.4 %s/%s: %w", sp.Name, arch, err)
-			}
-			vals = append(vals, float64(img.CompressedSize())/kb)
+	specs := ImageCatalog()
+	arches := []isa.Arch{isa.CISC64, isa.RV64}
+	// Cell i is specs[i/2] on arches[i%2].
+	sizes, err := cells(2*len(specs), jobs, func(i int) (float64, error) {
+		sp, arch := specs[i/2], arches[i%2]
+		img, err := BuildFunctionImage(sp, arch, container.GPourProfile)
+		if err != nil {
+			return 0, fmt.Errorf("table4.4 %s/%s: %w", sp.Name, arch, err)
 		}
-		d.Rows = append(d.Rows, Row{Label: sp.Name, Values: vals})
+		return float64(img.CompressedSize()) / kb, nil
+	})
+	if err != nil {
+		return d, err
+	}
+	for i, sp := range specs {
+		d.Rows = append(d.Rows, Row{Label: sp.Name, Values: sizes[2*i : 2*i+2 : 2*i+2]})
 	}
 	return d, nil
 }
 
 // Table45 reproduces the RISC-V image size comparison against the prior
 // "Natheesan" Docker Hub port (standalone + shop images only, as in the
-// thesis).
-func Table45() (Data, error) {
+// thesis) on sweep.DefaultJobs() workers.
+func Table45() (Data, error) { return table45(0) }
+
+func table45(jobs int) (Data, error) {
 	d := Data{ID: "table4.5", Title: "RISC-V container compressed size: prior port vs ours (KiB)",
 		Columns: []string{"natheesan", "gpour"}}
+	var specs []ImageSpec
 	for _, sp := range ImageCatalog() {
 		if len(sp.Name) > 3 && sp.Name[len(sp.Name)-3:] == "-Go" && !sp.Shop {
 			// Hotel images are excluded: the prior port's hotel images
@@ -116,15 +128,23 @@ func Table45() (Data, error) {
 				continue
 			}
 		}
-		var vals []float64
-		for _, prof := range []container.Profile{container.NatheesanProfile, container.GPourProfile} {
-			img, err := BuildFunctionImage(sp, isa.RV64, prof)
-			if err != nil {
-				return d, fmt.Errorf("table4.5 %s: %w", sp.Name, err)
-			}
-			vals = append(vals, float64(img.CompressedSize())/kb)
+		specs = append(specs, sp)
+	}
+	profs := []container.Profile{container.NatheesanProfile, container.GPourProfile}
+	// Cell i is specs[i/2] under profs[i%2].
+	sizes, err := cells(2*len(specs), jobs, func(i int) (float64, error) {
+		sp := specs[i/2]
+		img, err := BuildFunctionImage(sp, isa.RV64, profs[i%2])
+		if err != nil {
+			return 0, fmt.Errorf("table4.5 %s: %w", sp.Name, err)
 		}
-		d.Rows = append(d.Rows, Row{Label: sp.Name, Values: vals})
+		return float64(img.CompressedSize()) / kb, nil
+	})
+	if err != nil {
+		return d, err
+	}
+	for i, sp := range specs {
+		d.Rows = append(d.Rows, Row{Label: sp.Name, Values: sizes[2*i : 2*i+2 : 2*i+2]})
 	}
 	return d, nil
 }

@@ -26,8 +26,11 @@ type Latency struct {
 
 // Run executes spec under functional emulation, issuing nreq requests and
 // measuring each request's latency with the guest clock — exactly how one
-// times requests inside a QEMU guest.
+// times requests inside a QEMU guest. nreq must be at least 1.
 func Run(arch isa.Arch, spec harness.Spec, nreq int) ([]Latency, error) {
+	if nreq < 1 {
+		return nil, fmt.Errorf("qemu: request count must be >= 1, got %d", nreq)
+	}
 	cfg := gemsys.DefaultConfig(arch)
 	m, err := gemsys.New(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package qemu
 
 import (
+	"strings"
 	"testing"
 
 	"svbench/internal/harness"
@@ -23,6 +24,15 @@ func TestFunctionalLatencies(t *testing.T) {
 	// Cold (memcached misses -> Cassandra) must exceed warm (cache hits).
 	if lats[0].NS <= lats[4].NS {
 		t.Fatalf("cold %d <= warm %d", lats[0].NS, lats[4].NS)
+	}
+}
+
+func TestRunRejectsRequestCountBelowOne(t *testing.T) {
+	for _, nreq := range []int{0, -1} {
+		lats, err := Run(isa.RV64, harness.HotelSpec("rate", harness.EngineCassandra), nreq)
+		if err == nil || !strings.Contains(err.Error(), "request count must be >= 1") {
+			t.Errorf("nreq %d: got %d latencies and error %v, want a request-count error", nreq, len(lats), err)
+		}
 	}
 }
 
