@@ -275,7 +275,8 @@ func (o *O3) RegisterStats(r *trace.Registry, prefix string) {
 
 // ResetPipeline returns the core to its just-built state over a fresh
 // coupler — the in-place equivalent of NewO3, so statistics registered
-// against this core's counters stay valid across a checkpoint restore.
+// against this core's counters stay valid from one detailed run to the
+// next.
 func (o *O3) ResetPipeline(coupler *Coupler) {
 	o.coupler = coupler
 	o.now = 1

@@ -23,9 +23,10 @@ type ProcSnap struct {
 }
 
 // Checkpoint is a snapshot of the simulated machine, taken by the m5
-// checkpoint operation at the end of setup mode. Restoring one resets the
-// microarchitectural state (caches, predictors) exactly as gem5 does when
-// switching from the boot CPU to the detailed CPU.
+// checkpoint operation at the end of setup mode. Detailed evaluation
+// after restoring one starts from cold microarchitectural state (caches,
+// predictors), as gem5's does when switching from the boot CPU to the
+// detailed CPU.
 type Checkpoint struct {
 	Arch string
 	// MemSize and Pages are the guest memory image: MemSize bytes, zero
@@ -281,14 +282,16 @@ func (m *Machine) checkRestorable(ck *Checkpoint) (map[int]*kernel.Process, erro
 // Restore reinstates a checkpoint on the same machine — or on any machine
 // with an equal BootFingerprint, i.e. one whose processes were spawned
 // identically (the checkpoint memoizer's cross-machine restore path).
-// Microarchitectural state starts cold: caches, TLBs and branch
-// predictors are flushed, trace queues cleared, and the IPC coupler
-// reset. Restore copies out of ck and never retains references into it,
-// so a shared (cached) checkpoint stays untouched by the restored
-// machine's subsequent execution. Guest memory is brought to ck's image
-// by copying only the pages that can differ (see copyImage), and ck
-// becomes the machine's memory baseline. A malformed checkpoint returns
-// an error and leaves the machine untouched.
+// Trace queues are cleared and the IPC coupler is replaced. Restore
+// leaves the O3 cores alone: RunEvalSampled resets their pipelines and
+// flushes their caches, TLBs and branch predictors before it replays a
+// record, so detailed evaluation still starts cold. Restore copies out
+// of ck and never retains references into it, so a shared (cached)
+// checkpoint stays untouched by the restored machine's subsequent
+// execution. Guest memory is brought to ck's image by copying only the
+// pages that can differ (see copyImage), and ck becomes the machine's
+// memory baseline. A malformed checkpoint returns an error and leaves
+// the machine untouched.
 func (m *Machine) Restore(ck *Checkpoint) error {
 	byID, err := m.checkRestorable(ck)
 	if err != nil {
@@ -337,17 +340,11 @@ func (m *Machine) Restore(ck *Checkpoint) error {
 	// identical bytes.
 	m.decRV.ResetChains()
 	m.decC.ResetChains()
-	// Fresh coupler and cold microarchitecture, re-wired everywhere. The
-	// shared DRAM channel's occupancy cursor must also reset: it carries
-	// absolute cycle times from the previous run. The O3 cores are reset
-	// in place (not rebuilt) so registry pointers into their counters
-	// stay valid.
+	// Fresh coupler; RunEvalSampled hands it to the O3 cores. The shared
+	// DRAM channel's occupancy cursor must also reset: it carries
+	// absolute cycle times from the previous run.
 	m.Coupler = newCouplerFor(m)
 	m.DRAM.Reset()
-	for ci := range m.O3 {
-		m.O3[ci].ResetPipeline(m.Coupler)
-		m.O3[ci].ColdStart()
-	}
 	// The observability layer starts a fresh measurement: both restored
 	// runs of a same-seed pair then export identical bytes.
 	m.K.ResetCounts()

@@ -139,6 +139,10 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Cores != 2 {
 		return nil, fmt.Errorf("gemsys: this system model is two-core (client+server), got %d", cfg.Cores)
 	}
+	if cfg.MemBytes < firstProc || uint64(cfg.MemBytes)-firstProc < cfg.RegionBytes {
+		return nil, fmt.Errorf("gemsys: MemBytes %d cannot hold one process: need at least %#x (first process region %#x + RegionBytes %#x)",
+			cfg.MemBytes, firstProc+cfg.RegionBytes, firstProc, cfg.RegionBytes)
+	}
 	// The kernel image (compiled program + pre-decoded text) is shared
 	// read-only across all machines of one architecture; each machine
 	// still owns a private mutable decode cache layered over it.
@@ -760,7 +764,13 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 	}
 	defer m.recoverMemFault(&err)
 	m.recording = true
+	// Detailed evaluation starts from just-built pipelines over the
+	// machine's current coupler and cold caches, TLBs and predictors,
+	// as gem5's detailed CPU does after a checkpoint restore. The cores
+	// are reset in place (not rebuilt) so registry pointers into their
+	// counters stay valid.
 	for _, o := range m.O3 {
+		o.ResetPipeline(m.Coupler)
 		o.ColdStart()
 		o.ResetStats()
 	}

@@ -25,6 +25,38 @@ func TestRejectsNonTwoCoreConfig(t *testing.T) {
 	}
 }
 
+// TestRejectsMemoryBelowOneProcess: a guest memory too small for the
+// kernel's area plus one process region is a config error naming the
+// field, not a panic inside New.
+func TestRejectsMemoryBelowOneProcess(t *testing.T) {
+	for _, c := range []struct {
+		memBytes    int
+		regionBytes uint64
+	}{
+		{-1, 4 << 20},
+		{0, 4 << 20},
+		{1 << 20, 4 << 20},
+		{firstProc, 4 << 20},
+		{firstProc + 4<<20 - 1, 4 << 20},
+		{32 << 20, 32 << 20},
+	} {
+		cfg := DefaultConfig(isa.RV64)
+		cfg.MemBytes, cfg.RegionBytes = c.memBytes, c.regionBytes
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "MemBytes") {
+			t.Errorf("MemBytes %d, RegionBytes %d: error %v, want one naming MemBytes", c.memBytes, c.regionBytes, err)
+		}
+	}
+	cfg := DefaultConfig(isa.RV64)
+	cfg.MemBytes = firstProc + 4<<20
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatalf("smallest memory that holds one process: %v", err)
+	}
+	if _, err := m.Spawn("p", exitModule(), "main", 0, nil); err != nil {
+		t.Fatalf("smallest memory that holds one process: %v", err)
+	}
+}
+
 func TestSpawnBadCore(t *testing.T) {
 	m, err := New(DefaultConfig(isa.RV64))
 	if err != nil {

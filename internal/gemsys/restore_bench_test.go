@@ -10,7 +10,9 @@ import (
 // client/server pair. "recycled" restores a machine whose memory last
 // equalled the checkpoint and has run since, as a fleet re-acquires a
 // reclaimed instance; "fresh" restores into a newly booted machine, a
-// cold start's first restore.
+// cold start's first restore. "cold" times the whole cold start of a
+// fleet's fresh instance: New, both spawns and that first restore, with
+// the allocations they make.
 func BenchmarkRestore(b *testing.B) {
 	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
 		m := bootClientServer(b, arch, 1000)
@@ -35,6 +37,15 @@ func BenchmarkRestore(b *testing.B) {
 				b.StopTimer()
 				f := bootClientServer(b, arch, 1000)
 				b.StartTimer()
+				if err := f.Restore(ck); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(string(arch)+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := bootClientServer(b, arch, 1000)
 				if err := f.Restore(ck); err != nil {
 					b.Fatal(err)
 				}

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 )
 
 // ErrHalt is returned by Core.Step when the environment hook requested
@@ -154,6 +155,12 @@ const PageSize = 1 << PageShift
 // package, guest memory is written only through them: a write straight
 // into Data escapes the marks, and checkpoint take and restore (which
 // look only at marked pages and the last image's pages) would miss it.
+//
+// Data is valid only while its Mem is reachable. NewMem maps it outside
+// the Go heap where the platform allows and unmaps it once the Mem is
+// garbage, so a slice of Data (including one returned by Bytes) must not
+// be kept after the Mem is dropped: an access through it then faults
+// with SIGSEGV. Copy out what must outlive the Mem.
 type Mem struct {
 	Data []byte
 	// Dirty holds one mark per PageSize page of Data, non-zero once the
@@ -163,9 +170,24 @@ type Mem struct {
 	Dirty []byte
 }
 
-// NewMem allocates size bytes of zeroed memory with every page clean.
+// NewMem returns size bytes of zeroed memory with every page clean.
+// Data is an anonymous private mapping where the platform has one: the
+// kernel zero-fills each page on first touch, so a page the guest never
+// touches costs neither zeroing nor resident memory, and the Go heap
+// carries none of it. A finalizer unmaps it once the Mem is unreachable
+// (see Mem for the lifetime rule). Where mapping is unavailable or
+// fails, and in race-detector builds (the detector checks only Go heap
+// memory, so there every guest load and store stays checked), Data
+// comes from the Go heap.
 func NewMem(size int) *Mem {
-	return &Mem{Data: make([]byte, size), Dirty: make([]byte, (size+PageSize-1)>>PageShift)}
+	m := &Mem{Dirty: make([]byte, (size+PageSize-1)>>PageShift)}
+	if data, err := mapAnon(size); err == nil {
+		m.Data = data
+		runtime.SetFinalizer(m, func(m *Mem) { unmapAnon(m.Data) })
+	} else {
+		m.Data = make([]byte, size)
+	}
+	return m
 }
 
 // ClearDirty marks every page clean.
