@@ -7,7 +7,7 @@
 // replays.
 //
 // Every instance is still a real simulated machine — cold starts restore
-// private clones of the memoized post-boot checkpoint through
+// the memoized post-boot checkpoint, shared read-only, through
 // loadgen.Fleet, and service times are measured on the machine's virtual
 // clock — but unlike loadgen's single keep-alive pool, capacity here is
 // owned by the autoscaler: a reconcile loop observes in-flight plus

@@ -572,53 +572,44 @@ func (o *O3) FastForward(rec *isa.TraceRec, warm bool) (uint64, error) {
 	return ct, nil
 }
 
-// BatchCounts tallies the architectural classes of a fast-forwarded
-// record batch — the exact counts a sampled dump preserves while the
-// pipeline model is bypassed.
-type BatchCounts struct {
-	Insts    uint64
-	MicroOps uint64
-	Loads    uint64
-	Stores   uint64
-	Branches uint64
-}
-
 // FastForwardBatch fast-forwards a run of plain records in one tight
 // loop, equivalent to calling FastForward on each but without the
 // per-record dispatch the eval loop pays. It stops before the first
 // record that carries flags or is an idle pseudo-record — those need the
 // coupler and the caller's event plumbing — and returns the number of
-// records consumed. Class counts accumulate into bc.
-func (o *O3) FastForwardBatch(recs []isa.TraceRec, warm bool, bc *BatchCounts) int {
+// records consumed, every one an instruction. Their class census
+// accumulates into cc.
+func (o *O3) FastForwardBatch(recs []isa.TraceRec, warm bool, cc *isa.ClassCounts) int {
 	n := 0
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Flags != 0 || rec.Class == isa.ClassIdle {
 			break
 		}
-		bc.Insts++
-		bc.MicroOps += uint64(rec.MicroOps)
-		switch rec.Class {
-		case isa.ClassLoad:
-			bc.Loads++
-			if warm {
-				o.Hier.WarmAccessD(rec.MemAddr, false)
-			}
-		case isa.ClassStore:
-			bc.Stores++
-			if warm {
-				o.Hier.WarmAccessD(rec.MemAddr, true)
-			}
-		case isa.ClassBranch, isa.ClassJump, isa.ClassCall, isa.ClassRet:
-			bc.Branches++
-			if warm {
-				o.BP.Warm(rec)
-			}
-		}
+		// Warm in FastForward's order, fetch line first: a record's
+		// fetch and data lines can meet in one L2 set.
 		if warm {
 			if line := rec.PC >> 6; line != o.curFetchLine {
 				o.curFetchLine = line
 				o.Hier.WarmFetchI(rec.PC)
+			}
+		}
+		cc.MicroOps += uint64(rec.MicroOps)
+		switch rec.Class {
+		case isa.ClassLoad:
+			cc.Loads++
+			if warm {
+				o.Hier.WarmAccessD(rec.MemAddr, false)
+			}
+		case isa.ClassStore:
+			cc.Stores++
+			if warm {
+				o.Hier.WarmAccessD(rec.MemAddr, true)
+			}
+		case isa.ClassBranch, isa.ClassJump, isa.ClassCall, isa.ClassRet:
+			cc.Branches++
+			if warm {
+				o.BP.Warm(rec)
 			}
 		}
 		n++

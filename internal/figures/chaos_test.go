@@ -23,7 +23,7 @@ func TestSweepDegradesGracefully(t *testing.T) {
 	}
 	bad.Requests = 1 // fails spec validation before any simulation
 
-	res := Sweep([]isa.Arch{isa.RV64}, []harness.Spec{good, bad}, nil, nil)
+	res := SweepWith([]isa.Arch{isa.RV64}, []harness.Spec{good, bad}, nil, SweepOpts{Jobs: 1})
 	if res.Fn[isa.RV64]["fibonacci-go"] == nil {
 		t.Fatal("healthy spec did not complete")
 	}

@@ -99,12 +99,6 @@ type SweepOpts struct {
 	Log func(string)
 }
 
-// Sweep runs fnSpecs and hotelSpecs on each arch serially. It is the
-// single-worker form of SweepWith, kept for API compatibility.
-func Sweep(arches []isa.Arch, fnSpecs, hotelSpecs []harness.Spec, log func(string)) *Results {
-	return SweepWith(arches, fnSpecs, hotelSpecs, SweepOpts{Jobs: 1, Log: log})
-}
-
 // SweepWith runs fnSpecs and hotelSpecs on each arch across a worker
 // pool, degrading gracefully: a failed experiment lands in
 // Results.Failures as a structured *harness.ExperimentError and the

@@ -2,10 +2,7 @@ package gemsys
 
 import (
 	"bytes"
-	"compress/gzip"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"svbench/internal/isa"
@@ -27,15 +24,20 @@ type ProcSnap struct {
 // after restoring one starts from cold microarchitectural state (caches,
 // predictors), as gem5's does when switching from the boot CPU to the
 // detailed CPU.
+//
+// A checkpoint is immutable: nothing may write to it after
+// TakeCheckpoint returns. Restore only copies out of it, so any number
+// of machines, on any goroutines, may restore one checkpoint; the boot
+// cache and the load fleets hand a memoized boot out that way, by
+// reference. Machines that restored a checkpoint also remember it by id
+// and later copy back only the pages they wrote since, so a checkpoint
+// edited in place would not be restored faithfully.
 type Checkpoint struct {
 	Arch string
 	// MemSize and Pages are the guest memory image: MemSize bytes, zero
 	// except for Pages, listed in ascending Index order. TakeCheckpoint
 	// lists exactly the non-zero pages, so equal memory gives an equal
-	// image. The image is immutable once taken: machines that restored
-	// the checkpoint remember it by id and later copy back only the pages
-	// they wrote since, so an image edited in place would not be restored
-	// faithfully.
+	// image.
 	MemSize   int
 	Pages     []MemPage
 	Procs     []ProcSnap
@@ -52,9 +54,8 @@ type Checkpoint struct {
 	// that executed it.
 	Console []byte
 
-	// id names the image to the machines whose memory equals it (0: no
-	// name, as for a literal Checkpoint). It is not serialized:
-	// ReadCheckpoint issues a fresh one.
+	// id names the image to the machines whose memory equals it. Only
+	// TakeCheckpoint issues one; a literal Checkpoint keeps 0, no name.
 	id uint64
 }
 
@@ -70,44 +71,6 @@ type MemPage struct {
 // pointer, so a machine can name the image it last equalled without
 // keeping the checkpoint alive or reachable.
 var imageIDs atomic.Uint64
-
-// Clone returns a deep copy sharing no mutable state with the receiver:
-// mutating a machine restored from the clone (or the clone itself) can
-// never reach the original. This is what lets the cross-run checkpoint
-// memoizer hand each concurrent run its own private copy of a cached
-// post-boot snapshot.
-func (ck *Checkpoint) Clone() *Checkpoint {
-	cp := &Checkpoint{
-		Arch:      ck.Arch,
-		MemSize:   ck.MemSize,
-		Pages:     make([]MemPage, len(ck.Pages)),
-		Seq:       ck.Seq,
-		SlabCur:   ck.SlabCur,
-		VirtInstr: ck.VirtInstr,
-		Cur:       append([]int(nil), ck.Cur...),
-		NextRgn:   ck.NextRgn,
-		Console:   append([]byte(nil), ck.Console...),
-		id:        ck.id,
-	}
-	for i, pg := range ck.Pages {
-		cp.Pages[i] = MemPage{pg.Index, append([]byte(nil), pg.Data...)}
-	}
-	cp.Procs = make([]ProcSnap, len(ck.Procs))
-	for i, ps := range ck.Procs {
-		cp.Procs[i] = ps
-		cp.Procs[i].CoreState = append([]uint64(nil), ps.CoreState...)
-	}
-	cp.Chans = make([]kernel.ChanSnap, len(ck.Chans))
-	for i, cs := range ck.Chans {
-		cp.Chans[i].Msgs = append([]kernel.MsgSnap(nil), cs.Msgs...)
-		cp.Chans[i].Waiters = append([]int(nil), cs.Waiters...)
-	}
-	cp.RunQ = make([][]int, len(ck.RunQ))
-	for i, q := range ck.RunQ {
-		cp.RunQ[i] = append([]int(nil), q...)
-	}
-	return cp
-}
 
 // TakeCheckpoint captures the machine state and clears the pending
 // checkpoint request so execution can continue. The new checkpoint
@@ -286,12 +249,12 @@ func (m *Machine) checkRestorable(ck *Checkpoint) (map[int]*kernel.Process, erro
 // leaves the O3 cores alone: RunEvalSampled resets their pipelines and
 // flushes their caches, TLBs and branch predictors before it replays a
 // record, so detailed evaluation still starts cold. Restore copies out
-// of ck and never retains references into it, so a shared (cached)
-// checkpoint stays untouched by the restored machine's subsequent
-// execution. Guest memory is brought to ck's image by copying only the
-// pages that can differ (see copyImage), and ck becomes the machine's
-// memory baseline. A malformed checkpoint returns an error and leaves
-// the machine untouched.
+// of ck and never retains references into it, so the restored machine's
+// later execution cannot reach ck, and other machines may restore ck
+// concurrently (see Checkpoint). Guest memory is brought to ck's image
+// by copying only the pages that can differ (see copyImage), and ck
+// becomes the machine's memory baseline. A malformed checkpoint returns
+// an error and leaves the machine untouched.
 func (m *Machine) Restore(ck *Checkpoint) error {
 	byID, err := m.checkRestorable(ck)
 	if err != nil {
@@ -354,34 +317,4 @@ func (m *Machine) Restore(ck *Checkpoint) error {
 		d.Reset()
 	}
 	return nil
-}
-
-// WriteTo serializes the checkpoint (gzip+gob), the on-disk format the
-// command-line tools use.
-func (ck *Checkpoint) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	if err := gob.NewEncoder(zw).Encode(ck); err != nil {
-		return 0, err
-	}
-	if err := zw.Close(); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
-}
-
-// ReadCheckpoint deserializes a checkpoint written by WriteTo.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("gemsys: corrupt checkpoint: %w", err)
-	}
-	defer zr.Close()
-	var ck Checkpoint
-	if err := gob.NewDecoder(zr).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("gemsys: corrupt checkpoint: %w", err)
-	}
-	ck.id = imageIDs.Add(1)
-	return &ck, nil
 }

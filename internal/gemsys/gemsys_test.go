@@ -169,60 +169,6 @@ func TestISAComparison(t *testing.T) {
 	t.Logf("cold rv=%d x86=%d | warm rv=%d x86=%d", rvCold, xCold, rvWarm, xWarm)
 }
 
-func TestCheckpointRoundTripOnDisk(t *testing.T) {
-	mach, err := New(DefaultConfig(isa.RV64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := mach.K.NewChannel()
-	resp := mach.K.NewChannel()
-	if _, err := mach.Spawn("server", serverMod(), "main", 1, []uint64{uint64(req), uint64(resp)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mach.Spawn("client", clientMod(3, 10), "main", 0, []uint64{uint64(req), uint64(resp)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mach.RunSetup(50_000_000); err != nil {
-		t.Fatal(err)
-	}
-	ck := mach.TakeCheckpoint()
-
-	var buf bytes.Buffer
-	if _, err := ck.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mach.Restore(ck2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mach.RunEval(100_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if !mach.Halted() {
-		t.Fatal("machine did not halt after eval")
-	}
-}
-
-func TestCorruptCheckpointRejected(t *testing.T) {
-	if _, err := ReadCheckpoint(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
-	}
-	// Truncated gzip stream.
-	mach, _ := New(DefaultConfig(isa.RV64))
-	ck := mach.TakeCheckpoint()
-	var buf bytes.Buffer
-	if _, err := ck.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadCheckpoint(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated checkpoint accepted")
-	}
-}
-
 func TestDeterministicReplay(t *testing.T) {
 	c1, w1, _ := runPipeline(t, isa.RV64)
 	c2, w2, _ := runPipeline(t, isa.RV64)

@@ -815,9 +815,9 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 					if uint64(len(recs)) > room {
 						recs = recs[:room]
 					}
-					var bc cpu.BatchCounts
-					if n := m.O3[ci].FastForwardBatch(recs, smp.phase == phaseWarm, &bc); n > 0 {
-						smp.accountBatch(ci, &bc)
+					var cc isa.ClassCounts
+					if n := m.O3[ci].FastForwardBatch(recs, smp.phase == phaseWarm, &cc); n > 0 {
+						smp.fold(ci, uint64(n), cc)
 						m.cursor[ci] += n
 						m.compactTrace(ci)
 						retired += uint64(n)
@@ -974,7 +974,7 @@ func (m *Machine) RunEvalSampled(budget uint64, sc SamplingConfig) (_ []stats.Du
 				n, err := m.sprint(room)
 				if n > 0 {
 					for ci := range m.O3 {
-						smp.sprintFold(ci, m.sprintInsts[ci], m.sprintCnt[ci])
+						smp.fold(ci, m.sprintInsts[ci], m.sprintCnt[ci])
 						// Advance each core's functional clock exactly as
 						// the record-replay fast-forward lane would have:
 						// one cycle per retired-record slot.

@@ -59,9 +59,8 @@ func BenchmarkRestore(b *testing.B) {
 var ckSink *Checkpoint
 
 // BenchmarkTakeCheckpoint times TakeCheckpoint of the fib client/server
-// pair's post-setup state and Clone of the checkpoint it takes, the copy
-// the boot cache hands each memoized run. Before each take the machine's
-// page marks and baseline are put back as RunSetup left them.
+// pair's post-setup state. Before each take the machine's page marks and
+// baseline are put back as RunSetup left them.
 func BenchmarkTakeCheckpoint(b *testing.B) {
 	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
 		m := bootClientServer(b, arch, 1000)
@@ -77,13 +76,6 @@ func BenchmarkTakeCheckpoint(b *testing.B) {
 				m.memImage, m.memPages = 0, nil
 				b.StartTimer()
 				ckSink = m.TakeCheckpoint()
-			}
-		})
-		ck := m.TakeCheckpoint()
-		b.Run(string(arch)+"/clone", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ckSink = ck.Clone()
 			}
 		})
 	}
@@ -110,6 +102,36 @@ func BenchmarkRunEval(b *testing.B) {
 				}
 				b.StartTimer()
 				if _, err := m.RunEval(100_000_000); err != nil {
+					b.Fatal(err)
+				}
+				recs += m.EvalRetired()
+			}
+			b.ReportMetric(float64(recs)/b.Elapsed().Seconds(), "rec/s")
+		})
+	}
+}
+
+// BenchmarkRunEvalSampled times the sampled eval loop over all three of
+// its lanes (per-record detail, bulk fast-forward and the functional
+// sprint): each iteration restores the fib(4000) client/server pair's
+// post-setup checkpoint with the timer stopped and runs RunEvalSampled
+// to the end. Each request is tens of kilo-instructions, so both stats
+// windows span many sampling intervals. rec/s counts every retired
+// record, whichever lane retired it.
+func BenchmarkRunEvalSampled(b *testing.B) {
+	sc := SamplingConfig{Interval: 2_000, Warmup: 400, Detail: 400}
+	for _, arch := range []isa.Arch{isa.RV64, isa.CISC64} {
+		m, ck := prepPipeline(b, DefaultConfig(arch), 10, 4000)
+		b.Run(string(arch), func(b *testing.B) {
+			b.ReportAllocs()
+			var recs uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := m.Restore(ck); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := m.RunEvalSampled(100_000_000, sc); err != nil {
 					b.Fatal(err)
 				}
 				recs += m.EvalRetired()

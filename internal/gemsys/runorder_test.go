@@ -80,9 +80,9 @@ func refInterleave(t *testing.T, o3 []*cpu.O3, traces [][]isa.TraceRec, sc Sampl
 				if room := smp.bulkRoom(retired); uint64(len(recs)) > room {
 					recs = recs[:room]
 				}
-				var bc cpu.BatchCounts
-				if n := o3[ci].FastForwardBatch(recs, smp.phase == phaseWarm, &bc); n > 0 {
-					smp.accountBatch(ci, &bc)
+				var cc isa.ClassCounts
+				if n := o3[ci].FastForwardBatch(recs, smp.phase == phaseWarm, &cc); n > 0 {
+					smp.fold(ci, uint64(n), cc)
 					cursor[ci] += n
 					retired += uint64(n)
 					smp.advance(retired)

@@ -258,22 +258,12 @@ func (s *sampler) account(ci int, rec *isa.TraceRec) {
 	}
 }
 
-// accountBatch folds a bulk-fast-forwarded record batch into the exact
-// architectural counts. Bulk batches never run in a detailed phase, so
-// the open-window cursors are untouched.
-func (s *sampler) accountBatch(ci int, bc *cpu.BatchCounts) {
-	s.totInsts[ci] += bc.Insts
-	s.totUops[ci] += bc.MicroOps
-	s.loads[ci] += bc.Loads
-	s.stores[ci] += bc.Stores
-	s.branches[ci] += bc.Branches
-}
-
-// sprintFold folds one core's functional-sprint census into the exact
-// architectural counts — the sprint-lane analog of accountBatch. Idle
-// events need no folding: like idle pseudo-records on the recording lane
-// they occupy retired slots but are not instructions.
-func (s *sampler) sprintFold(ci int, insts uint64, cnt isa.ClassCounts) {
+// fold adds insts instructions of census cnt, retired outside any
+// detailed window, to one core's exact architectural counts: a bulk
+// fast-forward batch or a core's functional-sprint census. Idle records
+// and sprint idle events need no folding: they occupy retired slots but
+// are not instructions.
+func (s *sampler) fold(ci int, insts uint64, cnt isa.ClassCounts) {
 	s.totInsts[ci] += insts
 	s.totUops[ci] += cnt.MicroOps
 	s.loads[ci] += cnt.Loads

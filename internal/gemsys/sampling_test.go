@@ -101,7 +101,7 @@ func TestOrderCoresByTime(t *testing.T) {
 }
 
 // prepPipeline boots the fib server/client pair up to its checkpoint.
-func prepPipeline(t *testing.T, cfg Config, nreq, fibN int64) (*Machine, *Checkpoint) {
+func prepPipeline(t testing.TB, cfg Config, nreq, fibN int64) (*Machine, *Checkpoint) {
 	t.Helper()
 	mach, err := New(cfg)
 	if err != nil {

@@ -10,8 +10,9 @@ import (
 // machine's boot fingerprint (see gemsys.BootFingerprint): runs whose
 // architecture, configuration, kernel image and spawn sequence are
 // identical execute the same setup phase, so only the first such run
-// simulates it. Every later run restores a private deep clone of the
-// cached checkpoint instead.
+// simulates it. Every later run restores the cached checkpoint itself:
+// one image, shared by reference among any number of machines on any
+// goroutines, since nothing writes to a checkpoint once it is taken.
 //
 // Concurrent lookups for the same fingerprint are single-flighted: one
 // run (the leader) simulates setup while the others wait on the entry.
@@ -64,9 +65,9 @@ func (c *BootCache) acquire(fp string) (*bootEntry, bool) {
 	return e, true
 }
 
-// finish publishes the leader's outcome. ck must already be private to
-// the cache (the leader clones before handing it over); a nil ck records
-// a negative entry.
+// finish publishes the leader's outcome: ck is the leader's own
+// checkpoint, which the leader and every follower then restore; a nil ck
+// records a negative entry.
 func (c *BootCache) finish(e *bootEntry, ck *gemsys.Checkpoint, setupInsts uint64) {
 	c.mu.Lock()
 	e.ck = ck
@@ -90,13 +91,14 @@ func (c *BootCache) noteRejected() {
 
 // CheckpointFor returns a post-boot checkpoint for b, consulting the
 // cache by boot fingerprint. The leader (first caller per fingerprint)
-// simulates b's Setup and publishes the result when the boot is
-// memoizable; followers receive a private deep clone. On a negative
-// entry (failed or non-memoizable leader) the caller simulates its own
-// setup and gets its boot's own checkpoint back. A nil cache always runs
-// Setup directly. The returned setupInsts is the setup phase's
-// instruction count — the load layer charges it as the cold-start boot
-// penalty.
+// simulates b's Setup and publishes its own checkpoint when the boot is
+// memoizable; followers receive that same checkpoint, shared by
+// reference (see gemsys.Checkpoint: nothing writes to a checkpoint once
+// it is taken, and Restore only copies out of it). On a negative entry
+// (failed or non-memoizable leader) the caller simulates its own setup
+// and gets its boot's own checkpoint back. A nil cache always runs Setup
+// directly. The returned setupInsts is the setup phase's instruction
+// count — the load layer charges it as the cold-start boot penalty.
 func (c *BootCache) CheckpointFor(b *Boot) (ck *gemsys.Checkpoint, setupInsts uint64, err error) {
 	if c == nil {
 		ck, err = b.Setup()
@@ -112,73 +114,36 @@ func (c *BootCache) CheckpointFor(b *Boot) (ck *gemsys.Checkpoint, setupInsts ui
 			return nil, 0, err
 		case !b.Memoizable():
 			c.finish(e, nil, 0)
-			return ck, b.SetupInsts(), nil
 		default:
-			// Like RunCached, the leader's own checkpoint is published:
-			// Restore only copies out of it, so later execution on the
-			// leader's machine cannot touch the cached bytes.
 			c.finish(e, ck, b.SetupInsts())
-			return ck, b.SetupInsts(), nil
 		}
+		return ck, b.SetupInsts(), nil
 	}
 	<-e.ready
 	if e.ok {
 		c.noteHit()
-		return e.ck.Clone(), e.setupInsts, nil
+		return e.ck, e.setupInsts, nil
 	}
+	// The leader failed or the boot is not memoizable: simulate our own
+	// setup so this run's behavior (and any error) is its own.
 	c.noteRejected()
 	ck, err = b.Setup()
 	return ck, b.SetupInsts(), err
 }
 
 // RunCached executes the methodology like RunWith, consulting cache for a
-// memoized post-boot checkpoint. A nil cache disables memoization. Either
-// way the measured result is identical: the evaluation phase always runs
-// on this call's own machine, restored from a checkpoint byte-equal to
-// the one its own setup would have produced.
+// memoized post-boot checkpoint (see CheckpointFor). A nil cache disables
+// memoization. Either way the measured result is identical: the
+// evaluation phase always runs on this call's own machine, restored from
+// a checkpoint byte-equal to the one its own setup would have produced.
 func RunCached(cfg gemsys.Config, spec Spec, cache *BootCache) (*Result, error) {
 	b, err := BootSpec(cfg, spec)
 	if err != nil {
 		return nil, err
 	}
-	if cache == nil {
-		ck, err := b.Setup()
-		if err != nil {
-			return nil, err
-		}
-		return b.Measure(ck, b.SetupInsts())
-	}
-
-	fp := b.M.BootFingerprint()
-	e, leader := cache.acquire(fp)
-	if leader {
-		ck, err := b.Setup()
-		switch {
-		case err != nil:
-			cache.finish(e, nil, 0)
-			return nil, err
-		case !b.Memoizable():
-			cache.finish(e, nil, 0)
-			return b.Measure(ck, b.SetupInsts())
-		default:
-			// Publishing the leader's own checkpoint is safe: Restore only
-			// copies out of it, so the leader's measurement cannot touch
-			// the cached bytes. Followers still clone (see below).
-			cache.finish(e, ck, b.SetupInsts())
-			return b.Measure(ck, b.SetupInsts())
-		}
-	}
-	<-e.ready
-	if e.ok {
-		cache.noteHit()
-		return b.Measure(e.ck.Clone(), e.setupInsts)
-	}
-	// The leader failed or the boot is not memoizable: simulate our own
-	// setup so this run's behavior (and any error) is its own.
-	cache.noteRejected()
-	ck, err := b.Setup()
+	ck, setupInsts, err := cache.CheckpointFor(b)
 	if err != nil {
 		return nil, err
 	}
-	return b.Measure(ck, b.SetupInsts())
+	return b.Measure(ck, setupInsts)
 }

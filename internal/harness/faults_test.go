@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"svbench/internal/faults"
@@ -36,6 +37,33 @@ func TestRequestsValidation(t *testing.T) {
 	}
 	if ee.Phase != "spec" {
 		t.Fatalf("phase = %q, want \"spec\" (%v)", ee.Phase, err)
+	}
+}
+
+// TestMissingSpecFunctionsRejected: a spec without Build or Request
+// fails in phase "spec" with an error naming the missing field, instead
+// of dereferencing a nil function.
+func TestMissingSpecFunctionsRejected(t *testing.T) {
+	noBuild := findSpec(t, "fibonacci-go")
+	noBuild.Build = nil
+	noRequest := findSpec(t, "fibonacci-go")
+	noRequest.Request = nil
+	for _, c := range []struct {
+		name, field string
+		spec        Spec
+	}{
+		{"no Build", "Build", noBuild},
+		{"no Request", "Request", noRequest},
+		{"neither", "Build", Spec{Name: "x"}},
+	} {
+		_, err := Run(isa.RV64, c.spec)
+		var ee *ExperimentError
+		if !errors.As(err, &ee) {
+			t.Fatalf("%s: error %v is not *ExperimentError", c.name, err)
+		}
+		if ee.Phase != "spec" || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: got phase %q, error %q; want phase \"spec\" naming %s", c.name, ee.Phase, err, c.field)
+		}
 	}
 }
 

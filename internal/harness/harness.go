@@ -72,9 +72,9 @@ type Spec struct {
 	Name    string
 	Runtime langrt.Runtime
 	// Build constructs the workload module (creating services first when
-	// the function depends on them).
+	// the function depends on them). Required.
 	Build func(env *Env) (*ir.Module, error)
-	// Request returns the encoded request message.
+	// Request returns the encoded request message. Required.
 	Request func() []byte
 	// Requests is the invocation count (default 10: request 1 is the
 	// cold execution, request Requests the warm one). It must be at
@@ -222,6 +222,12 @@ func BootSpec(cfg gemsys.Config, spec Spec) (*Boot, error) {
 		return nil, failErr("spec", fmt.Errorf(
 			"Requests must be >= 2, got %d: the cold and warm m5 reset/dump markers need distinct requests", b.nreq))
 	}
+	if spec.Build == nil {
+		return nil, failErr("spec", fmt.Errorf("spec has no Build function"))
+	}
+	if spec.Request == nil {
+		return nil, failErr("spec", fmt.Errorf("spec has no Request function"))
+	}
 	if err := spec.Sampling.Validate(); err != nil {
 		return nil, failErr("spec", err)
 	}
@@ -323,9 +329,10 @@ func (b *Boot) Memoizable() bool { return b.setupSvcReqs == 0 && !b.setupFaulted
 // Measure restores the post-boot checkpoint into the detailed O3 CPU with
 // cold microarchitectural state, arms fault injection, replays the
 // request stream and projects the cold/warm statistics. ck may come from
-// this Boot's own Setup or from a cached clone taken on a machine with an
-// equal boot fingerprint; setupInsts is the setup phase's instruction
-// count (reported in the Result even when this machine skipped setup).
+// this Boot's own Setup or be a cached checkpoint taken on a machine with
+// an equal boot fingerprint, shared with other runs (Restore only reads
+// it); setupInsts is the setup phase's instruction count (reported in
+// the Result even when this machine skipped setup).
 func (b *Boot) Measure(ck *gemsys.Checkpoint, setupInsts uint64) (*Result, error) {
 	m, spec := b.M, b.spec
 	if err := m.Restore(ck); err != nil {
@@ -340,27 +347,12 @@ func (b *Boot) Measure(ck *gemsys.Checkpoint, setupInsts uint64) (*Result, error
 
 	// Evaluation mode (detailed O3 CPU, optionally sampled).
 	dumps, err := m.RunEvalSampled(evalBudget, spec.Sampling)
-	partial := partialResult(spec, b.cfg.Arch, m, dumps, b.inj, setupInsts)
+	res := partialResult(spec, b.cfg.Arch, m, dumps, b.inj, setupInsts)
 	if err != nil {
-		return b.fail("eval", partial, err)
+		return b.fail("eval", res, err)
 	}
 	if len(dumps) != 2 {
-		return b.fail("shape", partial, fmt.Errorf("got %d stat dumps, want 2", len(dumps)))
-	}
-	res := &Result{
-		Name:       spec.Name,
-		Runtime:    spec.Runtime,
-		Arch:       b.cfg.Arch,
-		Cold:       dumps[0].Server(),
-		Warm:       dumps[1].Server(),
-		SampleCold: dumps[0].ServerSampling(),
-		SampleWarm: dumps[1].ServerSampling(),
-		SetupInsts: setupInsts,
-		Response:   append([]byte(nil), m.K.Console.Bytes()...),
-	}
-	if b.inj != nil {
-		rep := b.inj.Report
-		res.FaultReport = &rep
+		return b.fail("shape", res, fmt.Errorf("got %d stat dumps, want 2", len(dumps)))
 	}
 	if m.Tracer != nil {
 		res.Profile = m.Profile()
@@ -381,8 +373,9 @@ func (b *Boot) Measure(ck *gemsys.Checkpoint, setupInsts uint64) (*Result, error
 	return res, nil
 }
 
-// partialResult salvages whatever a failed evaluation measured: the cold
-// window if it closed, the warm one too if both did.
+// partialResult builds the Result of what an evaluation measured: the
+// cold window if it closed, the warm one too if both did, so it is the
+// whole Result of a run that closed both and the salvage of a failed one.
 func partialResult(spec Spec, arch isa.Arch, m *gemsys.Machine, dumps []stats.Dump, inj *faults.Injector, setupInsts uint64) *Result {
 	if len(dumps) == 0 {
 		return nil

@@ -13,7 +13,7 @@ import (
 // the pool policy so other schedulers (the cluster autoscaler in
 // internal/autoscale) can share it: it boots the spec's master once
 // (through harness.BootCache when one is supplied), cold-starts
-// instances by restoring private copies of the post-boot checkpoint,
+// instances by restoring the one shared post-boot checkpoint,
 // recycles reclaimed machines through a free list, and drives one
 // invocation at a time through an instance host-side.
 //
@@ -94,48 +94,41 @@ func (f *Fleet) Memoizable() bool { return f.memoizable }
 // The simulated client is killed so the owner can drive the surviving
 // function server host-side.
 func (f *Fleet) Acquire() (*Instance, error) {
+	var inst *Instance
+	ck, restore := f.masterCk, "re-restore"
 	if n := len(f.free); n > 0 && f.memoizable {
-		inst := f.free[n-1]
+		inst = f.free[n-1]
 		f.free = f.free[:n-1]
-		if err := inst.b.M.Restore(f.masterCk); err != nil {
-			return nil, fmt.Errorf("loadgen: re-restore: %w", err)
-		}
-		if err := inst.b.M.KillProcess("client"); err != nil {
-			return nil, err
-		}
-		inst.ID = f.nextID
-		f.nextID++
-		if f.onInstance != nil {
-			f.onInstance(inst.ID, inst.b.ServiceBindings())
-		}
-		return inst, nil
-	}
-	b, err := harness.BootSpec(f.cfg, f.spec)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: instance boot: %w", err)
-	}
-	ck := f.masterCk
-	penalty := f.masterNS
-	if !f.memoizable {
-		// Host-side service state cannot be cloned, so this instance
-		// simulates its own container setup — the true cold-start cost.
-		ck, err = b.Setup()
+	} else {
+		b, err := harness.BootSpec(f.cfg, f.spec)
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: instance setup: %w", err)
+			return nil, fmt.Errorf("loadgen: instance boot: %w", err)
 		}
-		penalty = b.SetupInsts()
+		penalty := f.masterNS
+		if !f.memoizable {
+			// Host-side service state is not in a checkpoint, so this
+			// instance simulates its own container setup — the true
+			// cold-start cost.
+			ck, err = b.Setup()
+			if err != nil {
+				return nil, fmt.Errorf("loadgen: instance setup: %w", err)
+			}
+			penalty = b.SetupInsts()
+		}
+		reqCh, respCh := b.ClientChans()
+		inst = &Instance{b: b, reqCh: reqCh, respCh: respCh, Penalty: penalty}
+		restore = "restore"
 	}
-	if err := b.M.Restore(ck); err != nil {
-		return nil, fmt.Errorf("loadgen: restore: %w", err)
+	if err := inst.b.M.Restore(ck); err != nil {
+		return nil, fmt.Errorf("loadgen: %s: %w", restore, err)
 	}
-	if err := b.M.KillProcess("client"); err != nil {
+	if err := inst.b.M.KillProcess("client"); err != nil {
 		return nil, err
 	}
-	reqCh, respCh := b.ClientChans()
-	inst := &Instance{ID: f.nextID, b: b, reqCh: reqCh, respCh: respCh, Penalty: penalty}
+	inst.ID = f.nextID
 	f.nextID++
 	if f.onInstance != nil {
-		f.onInstance(inst.ID, b.ServiceBindings())
+		f.onInstance(inst.ID, inst.b.ServiceBindings())
 	}
 	return inst, nil
 }

@@ -1,14 +1,14 @@
 // Package loadgen is the open-loop invocation load engine: it replays a
 // seeded arrival process (Poisson or bursty, xorshift-driven like
-// internal/faults) against a pool of function instances cloned from
+// internal/faults) against a pool of function instances restored from
 // memoized post-boot checkpoints (harness.BootCache), under a keep-alive
 // idle-reclaim policy that produces a realistic cold/warm invocation mix.
 //
 // Each instance is a real simulated machine: the harness boots it once
-// per fingerprint, the engine restores private clones of the post-boot
-// checkpoint, kills the simulated client, and drives the surviving
-// function server host-side (kernel.Inject / kernel.TakeMessage +
-// gemsys.RunUntilIdle). Service times are measured on the machine's
+// per fingerprint, the engine restores each instance from that one
+// post-boot checkpoint, kills the simulated client, and drives the
+// surviving function server host-side (kernel.Inject /
+// kernel.TakeMessage + gemsys.RunUntilIdle). Service times are measured on the machine's
 // virtual clock, so the cold/warm difference is the runtime's real lazy
 // initialization, not a modeled constant; only the cold-start boot
 // penalty (the setup phase the restore skipped) is charged analytically.

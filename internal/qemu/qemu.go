@@ -31,6 +31,12 @@ func Run(arch isa.Arch, spec harness.Spec, nreq int) ([]Latency, error) {
 	if nreq < 1 {
 		return nil, fmt.Errorf("qemu: request count must be >= 1, got %d", nreq)
 	}
+	if spec.Build == nil {
+		return nil, fmt.Errorf("qemu: spec %q has no Build function", spec.Name)
+	}
+	if spec.Request == nil {
+		return nil, fmt.Errorf("qemu: spec %q has no Request function", spec.Name)
+	}
 	cfg := gemsys.DefaultConfig(arch)
 	m, err := gemsys.New(cfg)
 	if err != nil {

@@ -36,6 +36,28 @@ func TestRunRejectsRequestCountBelowOne(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMissingSpecFunctions: a spec without Build or Request is
+// an error naming the missing field, not a nil dereference.
+func TestRunRejectsMissingSpecFunctions(t *testing.T) {
+	noBuild := harness.HotelSpec("rate", harness.EngineCassandra)
+	noBuild.Build = nil
+	noRequest := harness.HotelSpec("rate", harness.EngineCassandra)
+	noRequest.Request = nil
+	for _, c := range []struct {
+		field string
+		spec  harness.Spec
+	}{
+		{"Build", noBuild},
+		{"Request", noRequest},
+		{"Build", harness.Spec{Name: "x"}},
+	} {
+		_, err := Run(isa.RV64, c.spec, 1)
+		if err == nil || !strings.Contains(err.Error(), "no "+c.field) {
+			t.Errorf("spec %q without %s: error %v, want one naming %s", c.spec.Name, c.field, err, c.field)
+		}
+	}
+}
+
 func TestMongoVsCassandraShape(t *testing.T) {
 	// Fig. 4.20: MongoDB's cold request is faster than Cassandra's; warm
 	// requests are comparable (both served from memcached).

@@ -6,9 +6,10 @@
 // Determinism is the contract: for the same task list, Run's output is
 // identical regardless of worker count or memoization. Outcomes come
 // back in task order, every run's machine is private to it, and
-// memoized runs restore checkpoints byte-equal to what their own setup
-// would produce. The only thing allowed to vary is the interleaving of
-// progress log lines.
+// memoized runs restore the one cached checkpoint of their boot
+// fingerprint, byte-equal to what their own setup would produce and
+// shared read-only among them. The only thing allowed to vary is the
+// interleaving of progress log lines.
 package sweep
 
 import (
@@ -63,12 +64,12 @@ func ValidateJobs(jobs int) error {
 }
 
 // Each runs fn(0)…fn(n-1) across a pool of jobs workers (0 selects
-// DefaultJobs; below 1 panics like Run). Indices are handed out in order
-// and every call completes before Each returns. fn writes its result
-// into its own slot of a caller-owned slice, which is what keeps outputs
-// in input order no matter how the workers interleave — the same merge
-// discipline Run uses for experiment matrices, generalized for other
-// per-index work (the load engine's sweep points).
+// DefaultJobs; below 1 panics). Indices are handed out in order, at most
+// n workers run, and every call completes before Each returns. fn
+// writes its result into its own slot of a caller-owned slice, which is
+// what keeps outputs in input order no matter how the workers interleave:
+// Run's experiment matrices, the load engine's sweep points and the
+// report studies all merge that way.
 func Each(n, jobs int, fn func(i int)) {
 	if jobs == 0 {
 		jobs = DefaultJobs()
@@ -97,22 +98,11 @@ func Each(n, jobs int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Run executes every task and returns outcomes in task order. Workers
-// pick tasks in order; each task runs on its own machine, so runs never
-// share mutable state (cached checkpoints are handed out as private
-// deep clones).
+// Run executes every task on Each's pool and returns outcomes in task
+// order. Each task runs on its own machine; memoized runs share the
+// cached post-boot checkpoint by reference, which no run writes to (see
+// gemsys.Checkpoint).
 func Run(tasks []Task, opt Options) []Outcome {
-	jobs := opt.Jobs
-	if jobs == 0 {
-		jobs = DefaultJobs()
-	}
-	if err := ValidateJobs(jobs); err != nil {
-		panic("sweep: " + err.Error())
-	}
-	if jobs > len(tasks) {
-		jobs = len(tasks)
-	}
-
 	cache := opt.Cache
 	if cache == nil && !opt.DisableMemo {
 		cache = harness.NewBootCache()
@@ -131,29 +121,15 @@ func Run(tasks []Task, opt Options) []Outcome {
 		opt.Log(fmt.Sprintf(format, args...))
 		logMu.Unlock()
 	}
-
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t := tasks[i]
-				res, err := harness.RunCached(t.Cfg, t.Spec, cache)
-				out[i] = Outcome{Task: t, Result: res, Err: err}
-				if err != nil {
-					logf("%s %-24s FAILED: %v", t.Cfg.Arch, t.Spec.Name, err)
-				} else {
-					logf("%s %-24s cold=%-9d warm=%d", t.Cfg.Arch, t.Spec.Name, res.Cold.Cycles, res.Warm.Cycles)
-				}
-			}
-		}()
-	}
-	for i := range tasks {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	Each(len(tasks), opt.Jobs, func(i int) {
+		t := tasks[i]
+		res, err := harness.RunCached(t.Cfg, t.Spec, cache)
+		out[i] = Outcome{Task: t, Result: res, Err: err}
+		if err != nil {
+			logf("%s %-24s FAILED: %v", t.Cfg.Arch, t.Spec.Name, err)
+		} else {
+			logf("%s %-24s cold=%-9d warm=%d", t.Cfg.Arch, t.Spec.Name, res.Cold.Cycles, res.Warm.Cycles)
+		}
+	})
 	return out
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,6 +113,25 @@ func TestRunReportsFailuresInOrder(t *testing.T) {
 	for i, o := range out {
 		if i != 1 && o.Err != nil {
 			t.Errorf("task %d: %v", i, o.Err)
+		}
+	}
+}
+
+// TestRunSurvivesSpecWithoutFunctions: a spec with no Build or Request
+// among good ones fails on its own, in phase "spec", and the rest of the
+// sweep completes.
+func TestRunSurvivesSpecWithoutFunctions(t *testing.T) {
+	tasks := testTasks(t, 1)
+	bad := Task{Cfg: gemsys.DefaultConfig(isa.RV64), Spec: harness.Spec{Name: "no-functions"}}
+	tasks = append(tasks[:1], bad, tasks[1])
+	out := Run(tasks, Options{Jobs: 2})
+	var ee *harness.ExperimentError
+	if !errors.As(out[1].Err, &ee) || ee.Phase != "spec" || ee.Spec != "no-functions" {
+		t.Fatalf("bad task: error %v, want an *ExperimentError in phase spec", out[1].Err)
+	}
+	for i, o := range out {
+		if i != 1 && (o.Err != nil || o.Result == nil) {
+			t.Errorf("task %d (%s/%s): result %v, error %v", i, o.Task.Spec.Name, o.Task.Cfg.Arch, o.Result, o.Err)
 		}
 	}
 }
