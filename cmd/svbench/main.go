@@ -292,12 +292,17 @@ func runLoad(cfg svbench.LoadConfig, jobs int, traceOut, statsTxt string, stdout
 		return 1
 	}
 	rep := reps[0]
+	tj, err := rep.TraceJSON()
+	if err != nil {
+		fmt.Fprintln(stderr, "svbench:", err)
+		return 1
+	}
 	fmt.Fprint(stdout, rep.Table())
 	fmt.Fprintln(stdout)
 	fmt.Fprint(stdout, rep.StatsText)
-	fmt.Fprintf(stdout, "trace: %d bytes, sha256 %x\n", len(rep.TraceJSON), sha256.Sum256(rep.TraceJSON))
+	fmt.Fprintf(stdout, "trace: %d bytes, sha256 %x\n", len(tj), sha256.Sum256(tj))
 	if traceOut != "" {
-		if err := os.WriteFile(traceOut, rep.TraceJSON, 0o644); err != nil {
+		if err := os.WriteFile(traceOut, tj, 0o644); err != nil {
 			fmt.Fprintln(stderr, "svbench:", err)
 			return 1
 		}

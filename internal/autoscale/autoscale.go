@@ -367,7 +367,7 @@ func Run(cfg Config) (*Report, error) {
 	if err := e.simulate(); err != nil {
 		return nil, err
 	}
-	return e.report()
+	return e.report(), nil
 }
 
 // RunMany executes one run per config across a worker pool of jobs

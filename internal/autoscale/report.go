@@ -77,23 +77,23 @@ type Report struct {
 	Makespan   uint64
 	Throughput float64
 
-	// StatsText is the run's stats-registry dump; TraceJSON the
-	// Chrome/Perfetto trace including scale-up/scale-down/panic events on
-	// the autoscaler track. TraceDropped counts ring overwrites.
+	// StatsText is the run's stats-registry dump. Events holds the trace
+	// records, scale-up/scale-down/panic events on the autoscaler track
+	// included, which TraceJSON renders; TraceDropped counts ring
+	// overwrites.
 	StatsText    string
-	TraceJSON    []byte
 	Events       []trace.Event
 	TraceDropped uint64
 }
 
-// report assembles the Report after the event loop drains.
-func (e *engine) report() (*Report, error) {
-	label := fmt.Sprintf("%s autoscale (%s)", e.cfg.Spec.Name, e.cfg.Cfg.Arch)
-	tj, err := trace.ChromeJSON(e.tracer.Events(), nil, e.tracer.Dropped)
-	if err != nil {
-		return nil, fmt.Errorf("autoscale: trace export: %w", err)
-	}
+// TraceJSON renders the run's events as a Chrome/Perfetto trace.
+func (r *Report) TraceJSON() ([]byte, error) {
+	return trace.ChromeJSON(r.Events, nil, r.TraceDropped)
+}
 
+// report assembles the Report after the event loop drains.
+func (e *engine) report() *Report {
+	label := fmt.Sprintf("%s autoscale (%s)", e.cfg.Spec.Name, e.cfg.Cfg.Arch)
 	r := &Report{
 		Cfg:             e.cfg,
 		Invocations:     e.invs,
@@ -108,7 +108,6 @@ func (e *engine) report() (*Report, error) {
 		Ticks:           e.ticks,
 		CheckFailures:   e.checkFailures,
 		StatsText:       e.reg.Text(label),
-		TraceJSON:       tj,
 		Events:          e.tracer.Events(),
 		TraceDropped:    e.tracer.Dropped,
 	}
@@ -159,7 +158,7 @@ func (e *engine) report() (*Report, error) {
 			r.MeanUtilization = float64(busy) / float64(coreTime)
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Table renders the run's deterministic summary: configuration echo,

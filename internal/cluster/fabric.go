@@ -490,7 +490,9 @@ func (f *Fabric) deliver(ev event, at uint64) error {
 		n.callers = append(n.callers, caller{src: ev.src, respTo: ev.respTo, reqID: ev.reqID})
 	}
 	n.m.AdvanceClock(n.epoch + at)
-	n.m.K.Inject(ev.ch, ev.payload)
+	if err := n.m.K.Inject(ev.ch, ev.payload); err != nil {
+		return fmt.Errorf("cluster: %s: %w", n.spec.Name, err)
+	}
 	if n.parked {
 		return nil
 	}

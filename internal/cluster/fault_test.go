@@ -51,28 +51,35 @@ func TestGuestMemoryFaultEndsRun(t *testing.T) {
 	}
 }
 
-// TestHotelReservationFaultIsError is the regression test at the point
-// that used to crash: hotel-reservation on cisc64 at 200 requests and
-// 2000 rps loads one byte past guest memory for about half of all
-// seeds. Each run must return a report or an error wrapping
-// *isa.MemFault, never panic. Seed 1 completes and seed 2 faults. A run
-// takes about 10 s, and over 4 minutes under the race detector, so short
-// mode and race builds leave it to TestGuestMemoryFaultEndsRun.
-func TestHotelReservationFaultIsError(t *testing.T) {
+// TestHotelReservationOverloadCompletes is the regression test at the
+// point that used to crash, and later ended in a guest memory fault:
+// hotel-reservation on cisc64 at 200 requests and 2000 rps overloads the
+// frontend, and its ingress backlog stays queued while the kernel's
+// message slab wraps. The slab used to hand out slots over queued
+// messages, and the frontend then read a length header from overwritten
+// bytes. Both seeds must now complete with every reply. A run takes
+// about 5 s, and minutes under the race detector, so short mode and race
+// builds skip it; the kernel's TestQueuedMessageSurvivesSlabWrap covers
+// the allocator itself.
+func TestHotelReservationOverloadCompletes(t *testing.T) {
 	if testing.Short() || raceDetector {
-		t.Skip("about 10 s per seed, over 4 minutes under the race detector")
+		t.Skip("about 5 s per seed, minutes under the race detector")
 	}
 	for _, seed := range []uint64{1, 2} {
 		cfg := testConfig(HotelReservation(), 200)
 		cfg.Arch = isa.CISC64
 		cfg.Seed = seed
 		rep, err := runRecovered(cfg)
-		var f *isa.MemFault
-		switch {
-		case err == nil && rep == nil:
-			t.Fatalf("seed %d: no report and no error", seed)
-		case err != nil && !errors.As(err, &f):
-			t.Fatalf("seed %d: error %v does not wrap *isa.MemFault", seed, err)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(rep.Latencies) != 200 {
+			t.Fatalf("seed %d: %d latencies, want 200", seed, len(rep.Latencies))
+		}
+		for id, lat := range rep.Latencies {
+			if lat == 0 {
+				t.Fatalf("seed %d: request %d has no latency", seed, id)
+			}
 		}
 	}
 }

@@ -216,7 +216,8 @@ func New(cfg Config) (*Machine, error) {
 	// counts execution since the last checkpoint restore (which severs all
 	// links and resets the counters), so the export is identical whether
 	// the block cache itself was warm or cold — the memoized and
-	// non-memoized boot paths must stay byte-identical.
+	// non-memoized boot paths must stay byte-identical. Machines sharing
+	// decode caches share these counters (see ShareDecodeCaches).
 	m.Reg.Func("interp.blocks", "distinct translated blocks entered since restore",
 		func() uint64 { return m.ChainStats().Blocks })
 	m.Reg.Func("interp.chain_hits", "block transitions served by superblock links",
@@ -267,6 +268,8 @@ func (m *Machine) Halted() bool { return m.halted }
 // ChainStats snapshots the superblock-chaining telemetry of the active
 // architecture's decode cache (see isa.ChainStats). Counters accumulate
 // from the last checkpoint restore; in SingleStep mode they stay zero.
+// On machines sharing decode caches (ShareDecodeCaches) they count all
+// of those machines' execution since the last restore of any of them.
 func (m *Machine) ChainStats() isa.ChainStats {
 	if m.Cfg.Arch == isa.RV64 {
 		return m.decRV.ChainStats()
@@ -274,9 +277,55 @@ func (m *Machine) ChainStats() isa.ChainStats {
 	return m.decC.ChainStats()
 }
 
-// Spawn compiles mod into a fresh region, creates a process running entry
-// with args, pins it to coreID and enqueues it.
+// ShareDecodeCaches makes m run on src's decode caches (decoded
+// instructions, translated blocks and their superblock links) instead of
+// its own, so m never decodes or translates what a machine sharing them
+// already has. It must precede m's first spawn: a process's core keeps
+// the cache it was spawned with.
+//
+// Sharing is exact only among machines whose text is identical at every
+// address: one kernel, and the same images loaded into the same regions,
+// as on machines that restore one checkpoint. Translation depends only
+// on the text, and no text is written after it is loaded. Machines that
+// share decode caches must run on one goroutine, and their interp.*
+// counters count the execution of all of them since the last Restore of
+// any (see ChainStats).
+func (m *Machine) ShareDecodeCaches(src *Machine) error {
+	if m.Cfg.Arch != src.Cfg.Arch {
+		return fmt.Errorf("gemsys: %s machine cannot share the decode caches of a %s machine", m.Cfg.Arch, src.Cfg.Arch)
+	}
+	if len(m.K.Procs) > 0 {
+		return fmt.Errorf("gemsys: decode caches must be shared before the first spawn")
+	}
+	m.decRV, m.decC = src.decRV, src.decC
+	return nil
+}
+
+// Compile links mod into a program image for the process region that
+// the ahead-th spawn from now loads into (0: the next spawn's; each
+// spawn takes the next region). Compiling changes no machine state, so
+// images may be compiled ahead of their spawns, and an image may be
+// spawned (SpawnImage) into any machine of the same architecture whose
+// spawn reaches that region.
+func (m *Machine) Compile(mod *ir.Module, ahead int) (*isa.Program, error) {
+	return m.compile(mod, m.nextRegion+uint64(ahead)*m.Cfg.RegionBytes)
+}
+
+// Spawn compiles mod for the next free region and spawns it there (see
+// SpawnImage).
 func (m *Machine) Spawn(name string, mod *ir.Module, entry string, coreID int, args []uint64) (*kernel.Process, error) {
+	prog, err := m.Compile(mod, 0)
+	if err != nil {
+		return nil, fmt.Errorf("gemsys: %s: %w", name, err)
+	}
+	return m.SpawnImage(name, prog, entry, coreID, args)
+}
+
+// SpawnImage loads a compiled image into the next free region, creates a
+// process running entry with args, pins it to coreID and enqueues it.
+// The image must have been linked for that region (Compile). SpawnImage
+// only reads prog, so one image may be spawned into many machines.
+func (m *Machine) SpawnImage(name string, prog *isa.Program, entry string, coreID int, args []uint64) (*kernel.Process, error) {
 	if coreID < 0 || coreID >= m.Cfg.Cores {
 		return nil, fmt.Errorf("gemsys: bad core %d", coreID)
 	}
@@ -284,16 +333,15 @@ func (m *Machine) Spawn(name string, mod *ir.Module, entry string, coreID int, a
 	if base+m.Cfg.RegionBytes > uint64(m.Cfg.MemBytes) {
 		return nil, fmt.Errorf("gemsys: out of memory regions")
 	}
-	m.nextRegion += m.Cfg.RegionBytes
-
-	prog, err := m.compile(mod, base)
-	if err != nil {
-		return nil, fmt.Errorf("gemsys: %s: %w", name, err)
+	if prog.Arch != m.Cfg.Arch || prog.TextBase != base {
+		return nil, fmt.Errorf("gemsys: %s: %s image linked at %#x, but the next %s region starts at %#x",
+			name, prog.Arch, prog.TextBase, m.Cfg.Arch, base)
 	}
 	imageEnd := prog.DataBase + uint64(len(prog.Data))
 	if imageEnd > base+m.Cfg.RegionBytes {
 		return nil, fmt.Errorf("gemsys: %s: image too large (%d bytes)", name, imageEnd-base)
 	}
+	m.nextRegion += m.Cfg.RegionBytes
 	prog.LoadInto(m.Mem)
 
 	stackTop := base + m.Cfg.RegionBytes - 64

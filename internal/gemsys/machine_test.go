@@ -103,6 +103,53 @@ func TestSpawnImageTooLarge(t *testing.T) {
 	}
 }
 
+// TestSpawnImageChecksItsRegion: an image compiled ahead of its spawn
+// loads only into the region it was linked for, on a machine of its
+// architecture; and decode caches are shared only between machines of
+// one architecture, before the first spawn.
+func TestSpawnImageChecksItsRegion(t *testing.T) {
+	rv, err := New(DefaultConfig(isa.RV64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cisc, err := New(DefaultConfig(isa.CISC64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := rv.Compile(exitModule(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rv.SpawnImage("p", second, "main", 0, nil); err == nil {
+		t.Fatal("an image linked for the second region spawned into the first")
+	}
+	first, err := rv.Compile(exitModule(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cisc.SpawnImage("p", first, "main", 0, nil); err == nil {
+		t.Fatal("an rv64 image spawned into a cisc64 machine")
+	}
+	if err := cisc.ShareDecodeCaches(rv); err == nil {
+		t.Fatal("a cisc64 machine shared an rv64 machine's decode caches")
+	}
+	twin, err := New(DefaultConfig(isa.RV64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*Machine{rv, twin} {
+		if _, err := m.SpawnImage("p", first, "main", 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.SpawnImage("q", second, "main", 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := twin.ShareDecodeCaches(rv); err == nil {
+		t.Fatal("decode caches shared after a spawn")
+	}
+}
+
 func TestFunctionalDeadlockDetected(t *testing.T) {
 	m, err := New(DefaultConfig(isa.RV64))
 	if err != nil {

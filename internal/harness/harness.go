@@ -16,6 +16,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"svbench/internal/faults"
 	"svbench/internal/gemsys"
@@ -180,6 +181,10 @@ type Boot struct {
 	// bindings are the guest→service channel wirings the spec's Build
 	// made through Env.NewService.
 	bindings []ServiceBinding
+	// server and client are the processes' compiled images, linked for
+	// their regions. Nothing writes to them, so a boot's twins spawn the
+	// same ones.
+	server, client *isa.Program
 }
 
 // ClientChans returns the client-side request and response channel ids
@@ -204,32 +209,87 @@ func (b *Boot) fail(phase string, partial *Result, err error) (*Result, error) {
 	return nil, ee
 }
 
+// failErr is fail for the phases that measured nothing.
+func (b *Boot) failErr(phase string, err error) error {
+	_, e := b.fail(phase, nil, err)
+	return e
+}
+
 // BootSpec assembles the machine for one experiment: it compiles the
 // workload and client, spawns both processes, and wires fault and trace
 // hooks — everything up to (but excluding) the functional setup phase.
 func BootSpec(cfg gemsys.Config, spec Spec) (*Boot, error) {
-	b := &Boot{cfg: cfg, spec: spec}
-	failErr := func(phase string, err error) error {
-		_, e := b.fail(phase, nil, err)
-		return e
+	b, err := newBoot(cfg, spec)
+	if err != nil {
+		return nil, err
 	}
+	workload, err := b.build()
+	if err != nil {
+		return nil, err
+	}
+	if err := b.compile(workload); err != nil {
+		return nil, err
+	}
+	if err := b.spawn(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
 
+// Twin boots a fresh machine as b's twin: assembled exactly as BootSpec
+// assembles b, except that it runs on b's decode caches (see
+// gemsys.Machine.ShareDecodeCaches) and spawns b's compiled images
+// instead of compiling its own. The spec's Build still runs on the twin,
+// for its own services and bindings; the workload module it returns is
+// not used. A twin and b have equal boot fingerprints, so a twin can
+// restore b's post-boot checkpoint, or run its own Setup.
+//
+// A twin shares mutable caches with b and with b's other twins, so all
+// of them must run on one goroutine, and their interp.* counters count
+// the execution of all of them since the last Restore of any (no report
+// reads those counters off a twin).
+func (b *Boot) Twin() (*Boot, error) {
+	t, err := newBoot(b.cfg, b.spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.M.ShareDecodeCaches(b.M); err != nil {
+		return nil, t.failErr("boot", err)
+	}
+	if _, err := t.build(); err != nil {
+		return nil, err
+	}
+	// The images bake in the service channel ids b's Build allocated.
+	if !slices.Equal(t.bindings, b.bindings) {
+		return nil, t.failErr("build", fmt.Errorf("twin's services are bound to %v, its master's to %v", t.bindings, b.bindings))
+	}
+	t.server, t.client = b.server, b.client
+	if err := t.spawn(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newBoot validates spec and assembles a machine for it: gemsys.New, the
+// fault injector and the trace hooks.
+func newBoot(cfg gemsys.Config, spec Spec) (*Boot, error) {
+	b := &Boot{cfg: cfg, spec: spec}
 	b.nreq = spec.Requests
 	if b.nreq == 0 {
 		b.nreq = 10
 	}
 	if b.nreq < 2 {
-		return nil, failErr("spec", fmt.Errorf(
+		return nil, b.failErr("spec", fmt.Errorf(
 			"Requests must be >= 2, got %d: the cold and warm m5 reset/dump markers need distinct requests", b.nreq))
 	}
 	if spec.Build == nil {
-		return nil, failErr("spec", fmt.Errorf("spec has no Build function"))
+		return nil, b.failErr("spec", fmt.Errorf("spec has no Build function"))
 	}
 	if spec.Request == nil {
-		return nil, failErr("spec", fmt.Errorf("spec has no Request function"))
+		return nil, b.failErr("spec", fmt.Errorf("spec has no Request function"))
 	}
 	if err := spec.Sampling.Validate(); err != nil {
-		return nil, failErr("spec", err)
+		return nil, b.failErr("spec", err)
 	}
 
 	if spec.Trace.Enabled {
@@ -238,7 +298,7 @@ func BootSpec(cfg gemsys.Config, spec Spec) (*Boot, error) {
 	}
 	m, err := gemsys.New(cfg)
 	if err != nil {
-		return nil, failErr("boot", err)
+		return nil, b.failErr("boot", err)
 	}
 	b.M = m
 	if spec.Faults != nil {
@@ -257,33 +317,57 @@ func BootSpec(cfg gemsys.Config, spec Spec) (*Boot, error) {
 			m.EmitFault(ev)
 		}
 	}
-	env := &Env{M: m, Inj: b.inj}
-	workload, err := spec.Build(env)
+	return b, nil
+}
+
+// build runs the spec's Build on b's machine, which creates the
+// workload's services, and returns the workload module.
+func (b *Boot) build() (*ir.Module, error) {
+	env := &Env{M: b.M, Inj: b.inj}
+	workload, err := b.spec.Build(env)
 	if err != nil {
-		return nil, failErr("build", fmt.Errorf("build workload: %w", err))
+		return nil, b.failErr("build", fmt.Errorf("build workload: %w", err))
 	}
 	b.bindings = env.bindings
-	flavor := libc.ForArch(string(cfg.Arch))
-	if spec.Flavor != nil {
-		flavor = *spec.Flavor
-	}
-	server, err := langrt.BuildServer(spec.Runtime, flavor, workload, vswarm.Handler)
-	if err != nil {
-		return nil, failErr("build", fmt.Errorf("build server: %w", err))
-	}
+	return workload, nil
+}
 
-	reqCh := m.K.NewChannel()
-	respCh := m.K.NewChannel()
-	b.reqCh, b.respCh = reqCh, respCh
+// compile builds the server around workload and the client, and links
+// them for the next two regions, where spawn loads them.
+func (b *Boot) compile(workload *ir.Module) error {
+	flavor := libc.ForArch(string(b.cfg.Arch))
+	if b.spec.Flavor != nil {
+		flavor = *b.spec.Flavor
+	}
+	server, err := langrt.BuildServer(b.spec.Runtime, flavor, workload, vswarm.Handler)
+	if err != nil {
+		return b.failErr("build", fmt.Errorf("build server: %w", err))
+	}
+	if b.server, err = b.M.Compile(server, 0); err != nil {
+		return b.failErr("build", fmt.Errorf("compile server: %w", err))
+	}
+	client := BuildClient(b.spec.Request(), int64(b.nreq), b.spec.Retry)
+	if b.client, err = b.M.Compile(client, 1); err != nil {
+		return b.failErr("build", fmt.Errorf("compile client: %w", err))
+	}
+	return nil
+}
+
+// spawn wires the client channels and starts the server and client
+// processes from b's images: the server in the next region, on core 1,
+// and the client in the one after, on core 0.
+func (b *Boot) spawn() error {
+	m, spec := b.M, b.spec
+	b.reqCh, b.respCh = m.K.NewChannel(), m.K.NewChannel()
 	if b.inj != nil {
-		b.inj.BindClientChans(reqCh, respCh)
+		b.inj.BindClientChans(b.reqCh, b.respCh)
 	}
-	if _, err := m.Spawn("server", server, "main", 1, []uint64{uint64(reqCh), uint64(respCh)}); err != nil {
-		return nil, failErr("build", fmt.Errorf("spawn server: %w", err))
+	args := []uint64{uint64(b.reqCh), uint64(b.respCh)}
+	if _, err := m.SpawnImage("server", b.server, "main", 1, args); err != nil {
+		return b.failErr("build", fmt.Errorf("spawn server: %w", err))
 	}
-	client := BuildClient(spec.Request(), int64(b.nreq), spec.Retry)
-	if _, err := m.Spawn("client", client, "main", 0, []uint64{uint64(reqCh), uint64(respCh)}); err != nil {
-		return nil, failErr("build", fmt.Errorf("spawn client: %w", err))
+	if _, err := m.SpawnImage("client", b.client, "main", 0, args); err != nil {
+		return b.failErr("build", fmt.Errorf("spawn client: %w", err))
 	}
 	if spec.Retry != nil {
 		check := spec.Check
@@ -291,7 +375,7 @@ func BootSpec(cfg gemsys.Config, spec Spec) (*Boot, error) {
 			return check == nil || check(rpc.NewReader(resp)) == nil
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // Setup runs the functional (atomic CPU) boot-and-container-setup phase

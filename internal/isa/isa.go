@@ -456,7 +456,9 @@ type Core interface {
 // Blocks counts distinct translated blocks entered since the cache's last
 // chain reset — a restore-relative "hot code footprint", deliberately
 // independent of how warm the underlying block cache is so that memoized
-// and freshly-booted machines report identical values.
+// and freshly-booted machines report identical values. A decode cache
+// shared by several machines counts all of their execution since the
+// last chain reset by any of them.
 type ChainStats struct {
 	Blocks uint64
 	Hits   uint64

@@ -56,8 +56,12 @@ func (s *SharedText) lookup(pc uint64) (Inst, bool) {
 
 // DecodeCache caches decoded instructions by address. Program text is
 // immutable after load, so entries never invalidate. The cache is shared
-// by all cores of a machine (but never across machines: only the
-// read-only SharedText overlay may cross machine boundaries).
+// by all cores of a machine, and may be shared by machines whose text is
+// identical at every address (gemsys.Machine.ShareDecodeCaches): what it
+// holds depends only on the text. It is mutable and unsynchronized, so
+// every core and machine using one must run on one goroutine; only the
+// read-only SharedText overlay may cross goroutines. Its chain telemetry
+// then counts all of them since the last ResetChains by any.
 type DecodeCache struct {
 	shared *SharedText
 	pages  map[uint64]*decPage

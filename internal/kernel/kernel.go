@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"svbench/internal/isa"
@@ -200,17 +201,70 @@ func (k *Kernel) AddProcess(p *Process) {
 	k.Procs = append(k.Procs, p)
 }
 
-func (k *Kernel) alloc(n uint64) uint64 {
+// alloc reserves a slot of n bytes, rounded up to 16, in the message
+// slab. The slab is used like a ring: a slot starts where the last one
+// ended, or at the base when the rest of the slab is too short. A slot
+// never overlaps a message still queued on a channel: alloc skips past
+// any that is in the way, wrapping to the base again if it must, so
+// where nothing queued is in the way the slot is the ring's next one.
+// The queued messages are read off the channel queues, so a checkpoint
+// needs no allocator state beyond the cursor. When no gap between
+// queued messages holds n bytes, alloc reserves nothing and returns an
+// error wrapping ErrSlabFull.
+func (k *Kernel) alloc(n uint64) (uint64, error) {
 	n = (n + 15) &^ 15
 	if n > k.slabSize {
 		panic(fmt.Sprintf("kernel: message of %d bytes exceeds slab", n))
 	}
-	if k.slabCur+n > k.slabBase+k.slabSize {
-		k.slabCur = k.slabBase
+	end := k.slabBase + k.slabSize
+	a, wrapped := k.slabCur, false
+	for {
+		if a+n > end {
+			if wrapped {
+				return 0, fmt.Errorf("%w: no gap of %d bytes between queued messages", ErrSlabFull, n)
+			}
+			a, wrapped = k.slabBase, true
+			continue
+		}
+		next, busy := k.queuedIn(a, n)
+		if !busy {
+			break
+		}
+		a = next
 	}
-	a := k.slabCur
-	k.slabCur += n
-	return a
+	k.slabCur = a + n
+	return a, nil
+}
+
+// ErrSlabFull reports a message for which the slab holds no gap between
+// queued messages. A guest's send then ends the run as a simulated
+// kernel panic (Panicked); Inject returns it.
+var ErrSlabFull = errors.New("kernel: message slab full")
+
+// slabPanic records err, from a guest's allocation, as a simulated
+// kernel panic, which halts the machine.
+func (k *Kernel) slabPanic(p *Process, err error) isa.EcallResult {
+	k.Panicked = true
+	k.PanicInfo = fmt.Sprintf("proc %s: %v", p.Name, err)
+	return isa.EcallHalt
+}
+
+// queuedIn reports whether a queued message overlaps [a, a+n) and, if
+// one does, where the last overlapping message's slot ends.
+func (k *Kernel) queuedIn(a, n uint64) (next uint64, busy bool) {
+	if n == 0 {
+		return 0, false // an empty slot overlaps nothing
+	}
+	for _, c := range k.chans {
+		for _, m := range c.msgs {
+			if m.ln == 0 || m.addr >= a+n || a >= m.addr+m.ln {
+				continue
+			}
+			busy = true
+			next = max(next, (m.addr+m.ln+15)&^15)
+		}
+	}
+	return next, busy
 }
 
 func (k *Kernel) chanFor(id uint64) *Channel {
@@ -262,7 +316,11 @@ func (k *Kernel) Ecall(c isa.Core, p *Process) isa.EcallResult {
 		c.SetRet(ln)
 	case HReserve:
 		_, ln := c.Arg(0), c.Arg(1)
-		c.SetRet(k.alloc(ln))
+		addr, err := k.alloc(ln)
+		if err != nil {
+			return k.slabPanic(p, err)
+		}
+		c.SetRet(addr)
 	case HCommit:
 		ch := k.chanFor(c.Arg(0))
 		kbuf, ln := c.Arg(1), c.Arg(2)
@@ -305,7 +363,10 @@ func (k *Kernel) Ecall(c isa.Core, p *Process) isa.EcallResult {
 			if k.OnServiceTime != nil {
 				k.OnServiceTime(cycles)
 			}
-			raddr := k.alloc(uint64(len(resp)))
+			raddr, err := k.alloc(uint64(len(resp)))
+			if err != nil {
+				return k.slabPanic(p, err)
+			}
 			copy(k.Mem.Bytes(raddr, uint64(len(resp))), resp)
 			k.seq++
 			rseq := k.seq
@@ -412,14 +473,20 @@ func (k *Kernel) Pending(ch int) int { return len(k.chans[ch].msgs) }
 // drive a restored instance without a simulated client process: the
 // payload is copied into slab memory, so the caller's slice is not
 // retained. Host injection bypasses the IPCFault hook — it models the
-// ingress boundary, not the measured IPC path.
-func (k *Kernel) Inject(ch int, payload []byte) {
+// ingress boundary, not the measured IPC path. When the slab has no room
+// for the payload, Inject commits nothing and returns an error wrapping
+// ErrSlabFull.
+func (k *Kernel) Inject(ch int, payload []byte) error {
 	c := k.chanFor(uint64(ch))
-	addr := k.alloc(uint64(len(payload)))
+	addr, err := k.alloc(uint64(len(payload)))
+	if err != nil {
+		return err
+	}
 	copy(k.Mem.Bytes(addr, uint64(len(payload))), payload)
 	k.seq++
 	k.Counts.Sends++
 	k.enqueue(c, message{addr: addr, ln: uint64(len(payload)), seq: k.seq})
+	return nil
 }
 
 // TakeMessage pops the head message of channel ch host-side and returns a

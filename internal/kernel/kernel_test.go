@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"svbench/internal/isa"
@@ -204,6 +206,101 @@ func TestSlabWraparound(t *testing.T) {
 		if last < 0x10000 || last >= 0x20000 {
 			t.Fatalf("allocation %#x escaped the slab", last)
 		}
+	}
+}
+
+// TestQueuedMessageSurvivesSlabWrap queues a message, then pushes more
+// than three slabs of traffic through another channel, each message
+// taken off as soon as it is sent. Every slot must miss the queued
+// message, which must come out byte for byte; and wherever it is not in
+// the way, the slot must be the plain ring's next one.
+func TestQueuedMessageSurvivesSlabWrap(t *testing.T) {
+	const base, size = 0x10000, 0x10000
+	k, mem := newTestKernel()
+	p := &Process{Name: "p"}
+	k.AddProcess(p)
+	parked, busy := k.NewChannel(), k.NewChannel()
+	c := &fakeCore{}
+
+	want := make([]byte, 1000)
+	for i := range want {
+		want[i] = byte(i*7 + 3)
+	}
+	// Move the cursor off the base.
+	if err := k.Inject(busy, make([]byte, 0x3000)); err != nil {
+		t.Fatal(err)
+	}
+	k.TakeMessage(busy)
+	kbuf, _ := c.call(k, p, HReserve, uint64(parked), uint64(len(want)))
+	copy(mem.Bytes(kbuf, uint64(len(want))), want)
+	c.call(k, p, HCommit, uint64(parked), kbuf, uint64(len(want)))
+	lo, hi := kbuf, kbuf+uint64(len(want))
+
+	// ring is the allocator without the skip: the slot it would hand out.
+	ring := hi
+	skipped := 0
+	sent := uint64(0)
+	for i := 0; sent < 3*size+size/2; i++ {
+		n := uint64(16 + (i*389)%1200)
+		msg := make([]byte, n)
+		for j := range msg {
+			msg[j] = byte(i + j)
+		}
+		if ring = (ring + 15) &^ 15; ring+((n+15)&^15) > base+size {
+			ring = base
+		}
+		kb, _ := c.call(k, p, HReserve, uint64(busy), n)
+		if kb < hi && lo < kb+n {
+			t.Fatalf("send %d: slot [%#x, %#x) overlaps the queued message [%#x, %#x)", i, kb, kb+n, lo, hi)
+		}
+		if kb != ring {
+			if ring >= hi || lo >= ring+n {
+				t.Fatalf("send %d: slot %#x, want the ring's %#x: nothing queued is in its way", i, kb, ring)
+			}
+			skipped++
+		}
+		ring = kb + n
+		copy(mem.Bytes(kb, n), msg)
+		c.call(k, p, HCommit, uint64(busy), kb, n)
+		got, ok := k.TakeMessage(busy)
+		if !ok || string(got) != string(msg) {
+			t.Fatalf("send %d: took %d bytes, want the %d sent", i, len(got), n)
+		}
+		sent += n
+	}
+	if skipped < 3 {
+		t.Fatalf("the slab wrapped onto the queued message %d times, want at least 3", skipped)
+	}
+	got, ok := k.TakeMessage(parked)
+	if !ok || string(got) != string(want) {
+		t.Fatalf("queued message changed after %d bytes of traffic", sent)
+	}
+}
+
+// TestSlabFullIsAnError: when queued messages leave no gap large
+// enough, nothing overwrites them. A host injection returns ErrSlabFull,
+// and a guest's reservation halts the machine as a simulated kernel
+// panic.
+func TestSlabFullIsAnError(t *testing.T) {
+	k, _ := newTestKernel()
+	p := &Process{Name: "p"}
+	k.AddProcess(p)
+	ch := k.NewChannel()
+	for i := 0; i < 4; i++ {
+		if err := k.Inject(ch, make([]byte, 0x3000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Inject(ch, make([]byte, 0x4100)); !errors.Is(err, ErrSlabFull) {
+		t.Fatalf("injection larger than every gap: error %v, want ErrSlabFull", err)
+	}
+	if k.Pending(ch) != 4 {
+		t.Fatalf("%d messages queued after a failed injection, want 4", k.Pending(ch))
+	}
+	c := &fakeCore{}
+	if _, res := c.call(k, p, HReserve, uint64(ch), 0x4100); res != isa.EcallHalt || !k.Panicked ||
+		!strings.Contains(k.PanicInfo, "slab full") {
+		t.Fatalf("reservation larger than every gap: result %v, panicked %v (%q)", res, k.Panicked, k.PanicInfo)
 	}
 }
 

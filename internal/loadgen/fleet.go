@@ -15,15 +15,22 @@ import (
 // (through harness.BootCache when one is supplied), cold-starts
 // instances by restoring the one shared post-boot checkpoint,
 // recycles reclaimed machines through a free list, and drives one
-// invocation at a time through an instance host-side.
+// invocation at a time through an instance host-side. A fresh instance
+// boots as a twin of the master (harness.Boot.Twin): it spawns the
+// master's compiled images and runs on the master machine's decode
+// caches, so no cold start compiles, decodes or translates what the
+// fleet already has.
 //
 // A Fleet is single-goroutine like the engines that own it: every
 // Acquire/Serve/Release happens inside a sequential discrete-event
-// loop, in deterministic event order.
+// loop, in deterministic event order. Its machines share decode
+// caches, which must not cross goroutines either.
 type Fleet struct {
-	cfg    gemsys.Config
 	spec   harness.Spec
 	reqMsg []byte
+
+	// master is the boot every fresh instance twins.
+	master *harness.Boot
 
 	// masterCk is the shared post-boot checkpoint instances restore from;
 	// nil when the spec's boot is not memoizable (host-side service state
@@ -68,11 +75,12 @@ func NewFleet(cfg gemsys.Config, spec harness.Spec, cache *harness.BootCache,
 		return nil, fmt.Errorf("loadgen: fleet has no function spec")
 	}
 	spec.Trace = trace.Options{}
-	f := &Fleet{cfg: cfg, spec: spec, reqMsg: spec.Request(), onInstance: onInstance}
+	f := &Fleet{spec: spec, reqMsg: spec.Request(), onInstance: onInstance}
 	b, err := harness.BootSpec(cfg, spec)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: master boot: %w", err)
 	}
+	f.master = b
 	ck, setupInsts, err := cache.CheckpointFor(b)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: master setup: %w", err)
@@ -90,9 +98,9 @@ func NewFleet(cfg gemsys.Config, spec harness.Spec, cache *harness.BootCache,
 func (f *Fleet) Memoizable() bool { return f.memoizable }
 
 // Acquire cold-starts an instance: a reclaimed machine re-restored from
-// the master checkpoint when possible, otherwise a freshly booted one.
-// The simulated client is killed so the owner can drive the surviving
-// function server host-side.
+// the master checkpoint when possible, otherwise a fresh twin of the
+// master. The simulated client is killed so the owner can drive the
+// surviving function server host-side.
 func (f *Fleet) Acquire() (*Instance, error) {
 	var inst *Instance
 	ck, restore := f.masterCk, "re-restore"
@@ -100,7 +108,7 @@ func (f *Fleet) Acquire() (*Instance, error) {
 		inst = f.free[n-1]
 		f.free = f.free[:n-1]
 	} else {
-		b, err := harness.BootSpec(f.cfg, f.spec)
+		b, err := f.master.Twin()
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: instance boot: %w", err)
 		}
@@ -149,7 +157,9 @@ func (f *Fleet) Release(inst *Instance) {
 func (f *Fleet) Serve(inst *Instance, invID int) (svcNS uint64, checkFailed bool, err error) {
 	m := inst.b.M
 	t0 := m.VirtNS()
-	m.K.Inject(inst.reqCh, f.reqMsg)
+	if err := m.K.Inject(inst.reqCh, f.reqMsg); err != nil {
+		return 0, false, fmt.Errorf("loadgen: invocation %d on instance %d: %w", invID, inst.ID, err)
+	}
 	if err := m.RunUntilIdle(invokeBudget); err != nil {
 		return 0, false, fmt.Errorf("loadgen: invocation %d on instance %d: %w", invID, inst.ID, err)
 	}

@@ -73,12 +73,22 @@ var goldenOutputs = map[string]string{
 	"lost-reply-queued":      "d18c640e04092bd4",
 }
 
-func reportDigest(r *Report) string {
+func reportDigest(t testing.TB, r *Report) string {
 	h := sha256.New()
 	h.Write([]byte(r.Table()))
 	h.Write([]byte(r.StatsText))
-	h.Write(r.TraceJSON)
+	h.Write(traceJSON(t, r))
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// traceJSON renders r's trace, failing the test on an export error.
+func traceJSON(t testing.TB, r *Report) []byte {
+	t.Helper()
+	tj, err := r.TraceJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tj
 }
 
 func TestOutputsGolden(t *testing.T) {
@@ -88,7 +98,7 @@ func TestOutputsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if d := reportDigest(rep); d != goldenOutputs[name] {
+		if d := reportDigest(t, rep); d != goldenOutputs[name] {
 			t.Errorf("%s: digest %s, want %s", name, d, goldenOutputs[name])
 		}
 	}

@@ -301,14 +301,14 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 		if a, b := seq[i].StatsText, par[i].StatsText; a != b {
 			t.Errorf("point %d: stats text differs between -j 1 and -j 4", i)
 		}
-		if !bytes.Equal(seq[i].TraceJSON, par[i].TraceJSON) {
+		if !bytes.Equal(traceJSON(t, seq[i]), traceJSON(t, par[i])) {
 			t.Errorf("point %d: trace JSON differs between -j 1 and -j 4", i)
 		}
 	}
 	if a, b := seq[0].Table(), solo.Table(); a != b {
 		t.Errorf("solo run table differs from swept run:\n--- sweep\n%s--- solo\n%s", a, b)
 	}
-	if !bytes.Equal(seq[0].TraceJSON, solo.TraceJSON) {
+	if !bytes.Equal(traceJSON(t, seq[0]), traceJSON(t, solo)) {
 		t.Error("solo run trace differs from swept run")
 	}
 	if seq[0].StatsText != solo.StatsText {
@@ -528,11 +528,11 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	for i := range a {
 		if a[i].Table() != b[i].Table() || a[i].StatsText != b[i].StatsText ||
-			!bytes.Equal(a[i].TraceJSON, b[i].TraceJSON) {
+			!bytes.Equal(traceJSON(t, a[i]), traceJSON(t, b[i])) {
 			t.Fatalf("chaos point %d differs between -j 1 and -j 4", i)
 		}
 	}
-	if solo.Table() != a[0].Table() || !bytes.Equal(solo.TraceJSON, a[0].TraceJSON) {
+	if solo.Table() != a[0].Table() || !bytes.Equal(traceJSON(t, solo), traceJSON(t, a[0])) {
 		t.Fatal("solo chaos run differs from swept run")
 	}
 }

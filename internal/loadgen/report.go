@@ -38,9 +38,9 @@ type Pcts struct {
 	Mean               float64
 }
 
-// Report is one load run's complete result. Every field — including the
-// rendered table, stats text and trace JSON — is a pure function of the
-// run's Config.
+// Report is one load run's complete result. Every field — and the
+// rendered table and trace JSON — is a pure function of the run's
+// Config.
 type Report struct {
 	Cfg         Config
 	Invocations []Invocation
@@ -73,16 +73,19 @@ type Report struct {
 	Makespan   uint64
 	Throughput float64
 
-	// StatsText is the run's stats-registry dump (gem5 stats.txt style);
-	// TraceJSON the Chrome/Perfetto trace of arrival/run/done/cold-start/
-	// reclaim (plus retry/fail under chaos) events. Events holds the raw
-	// trace records so downstream layers (internal/scenario) can splice
-	// their own events in before re-exporting; TraceDropped counts ring
-	// overwrites.
+	// StatsText is the run's stats-registry dump (gem5 stats.txt style).
+	// Events holds the trace records of arrival/run/done/cold-start/
+	// reclaim (plus retry/fail under chaos) events, which TraceJSON
+	// renders and downstream layers (internal/scenario) splice their own
+	// events into; TraceDropped counts ring overwrites.
 	StatsText    string
-	TraceJSON    []byte
 	Events       []trace.Event
 	TraceDropped uint64
+}
+
+// TraceJSON renders the run's events as a Chrome/Perfetto trace.
+func (r *Report) TraceJSON() ([]byte, error) {
+	return trace.ChromeJSON(r.Events, nil, r.TraceDropped)
 }
 
 // Percentiles computes nearest-rank percentiles of vals (unsorted, left
@@ -122,13 +125,8 @@ func pcts(vals []uint64) Pcts {
 }
 
 // report assembles the Report after the event loop drains.
-func (e *engine) report() (*Report, error) {
+func (e *engine) report() *Report {
 	label := fmt.Sprintf("%s load (%s)", e.cfg.Spec.Name, e.cfg.Cfg.Arch)
-	tj, err := trace.ChromeJSON(e.tracer.Events(), nil, e.tracer.Dropped)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: trace export: %w", err)
-	}
-
 	r := &Report{
 		Cfg:             e.cfg,
 		Invocations:     e.invs,
@@ -148,7 +146,6 @@ func (e *engine) report() (*Report, error) {
 		Failed:          e.failed,
 		Recovered:       e.recovered,
 		StatsText:       e.reg.Text(label),
-		TraceJSON:       tj,
 		Events:          e.tracer.Events(),
 		TraceDropped:    e.tracer.Dropped,
 	}
@@ -182,7 +179,7 @@ func (e *engine) report() (*Report, error) {
 		// attempt never completed, so they don't count as throughput.
 		r.Throughput = float64(completions) * 1e9 / float64(r.Makespan)
 	}
-	return r, nil
+	return r
 }
 
 // ColdRate is the fraction of invocations that cold-started at least

@@ -64,8 +64,12 @@ func NewCache(cfg CacheConfig) *Cache {
 		sets:  make([][]line, nsets),
 		nsets: uint64(nsets),
 	}
+	// One backing array for every line; capping each set's capacity
+	// keeps an append to one set from spilling into the next.
+	lines := make([]line, nsets*cfg.Assoc)
 	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
+		lo := i * cfg.Assoc
+		c.sets[i] = lines[lo : lo+cfg.Assoc : lo+cfg.Assoc]
 	}
 	for ls := cfg.LineSize; ls > 1; ls >>= 1 {
 		c.lineBits++

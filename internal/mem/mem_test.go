@@ -126,6 +126,22 @@ func (r *refCache) access(addr uint64) bool {
 	return false
 }
 
+// TestNewCacheAllocatesOneLineArray: a cache's lines come from one
+// backing array (besides the Cache and its set headers), and each set's
+// capacity ends where the next set begins.
+func TestNewCacheAllocatesOneLineArray(t *testing.T) {
+	cfg := CacheConfig{Name: "t", Size: 64 << 10, LineSize: 64, Assoc: 8, HitLatency: 1}
+	if n := testing.AllocsPerRun(10, func() { NewCache(cfg) }); n > 3 {
+		t.Fatalf("NewCache made %.0f allocations, want at most 3", n)
+	}
+	c := NewCache(cfg)
+	for i, set := range c.sets {
+		if len(set) != cfg.Assoc || cap(set) != cfg.Assoc {
+			t.Fatalf("set %d: len %d, cap %d, want %d", i, len(set), cap(set), cfg.Assoc)
+		}
+	}
+}
+
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	f := func() bool {
